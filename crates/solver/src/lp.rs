@@ -6,7 +6,7 @@
 
 use crate::linear::Lin;
 use crate::rational::Rational;
-use crate::simplex::{self, RowOp, SimplexOutcome, StandardForm};
+use crate::simplex::{self, RowOp, SimplexOutcome, SparseRow, StandardForm};
 use std::collections::BTreeMap;
 
 /// Sign restriction of an LP variable.
@@ -176,47 +176,49 @@ impl LpProblem {
         }
         let num_cols = next;
 
-        let lower = |lin: &Lin| -> (Vec<Rational>, Rational) {
-            let mut coeffs = vec![Rational::zero(); num_cols];
+        // Each variable owns its own column(s) and both maps iterate in name
+        // order, so the lowered nonzeros come out sorted by column.
+        let lower = |lin: &Lin| -> SparseRow {
+            let mut row = Vec::new();
             for (v, c) in lin.terms() {
                 match slots[v] {
-                    Slot::Single(i) => coeffs[i] += c,
+                    Slot::Single(i) => row.push((i, c)),
                     Slot::Split(p, n) => {
-                        coeffs[p] += c;
-                        coeffs[n] -= c;
+                        row.push((p, c));
+                        row.push((n, -c));
                     }
                 }
             }
-            (coeffs, lin.constant_term())
+            row
         };
 
-        let mut rows = Vec::new();
-        for (lhs, op, rhs) in &self.constraints {
-            let diff = lhs.sub(rhs);
-            let (coeffs, constant) = lower(&diff);
-            // lhs op rhs  ⇔  diff op 0  ⇔  Σ coeffs · x  op  -constant
-            let row_op = match op {
-                Cmp::Le => RowOp::Le,
-                Cmp::Ge => RowOp::Ge,
-                Cmp::Eq => RowOp::Eq,
-            };
-            rows.push((coeffs, row_op, -constant));
-        }
+        let rows = self
+            .constraints
+            .iter()
+            .map(|(lhs, op, rhs)| {
+                let diff = lhs.sub(rhs);
+                // lhs op rhs  ⇔  diff op 0  ⇔  Σ coeffs · x  op  -constant
+                let row_op = match op {
+                    Cmp::Le => RowOp::Le,
+                    Cmp::Ge => RowOp::Ge,
+                    Cmp::Eq => RowOp::Eq,
+                };
+                (lower(&diff), row_op, -diff.constant_term())
+            })
+            .collect();
 
-        let (objective_coeffs, direction, objective_const) = match &self.objective {
+        let mut minimise_coeffs = vec![Rational::zero(); num_cols];
+        let (direction, objective_const) = match &self.objective {
             Some((expr, dir)) => {
-                let (coeffs, constant) = lower(expr);
-                (coeffs, *dir, constant)
+                for (i, c) in lower(expr) {
+                    minimise_coeffs[i] = match dir {
+                        Direction::Minimise => c,
+                        Direction::Maximise => -c,
+                    };
+                }
+                (*dir, expr.constant_term())
             }
-            None => (
-                vec![Rational::zero(); num_cols],
-                Direction::Minimise,
-                Rational::zero(),
-            ),
-        };
-        let minimise_coeffs: Vec<Rational> = match direction {
-            Direction::Minimise => objective_coeffs.clone(),
-            Direction::Maximise => objective_coeffs.iter().map(|c| -*c).collect(),
+            None => (Direction::Minimise, Rational::zero()),
         };
 
         let program = StandardForm {

@@ -183,9 +183,30 @@ fn div_to_f64(n: u128, d: u128) -> f64 {
     mantissa as f64 * scale
 }
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    a = a.abs();
-    b = b.abs();
+/// Greatest common divisor of `|a|` and `|b|` (taken as unsigned, so
+/// `i128::MIN` is handled exactly).
+///
+/// Coefficients almost always fit in 64 bits, and `u64` division is a single
+/// hardware instruction where `u128` division is a library call, so operands
+/// that both fit take the `u64` branch.
+fn gcd(a: i128, b: i128) -> i128 {
+    let (a, b) = (a.unsigned_abs(), b.unsigned_abs());
+    match (u64::try_from(a), u64::try_from(b)) {
+        (Ok(a), Ok(b)) => gcd_u64(a, b) as i128,
+        _ => gcd_u128(a, b) as i128,
+    }
+}
+
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        let t = a % b;
+        a = b;
+        b = t;
+    }
+    a
+}
+
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -256,11 +277,13 @@ impl Rational {
         self.den == 1
     }
 
-    /// Absolute value.
+    /// Absolute value. `|i128::MIN|` is not representable: it saturates
+    /// (positive) and is recorded in [`overflow_work`].
     pub fn abs(&self) -> Self {
-        Rational {
-            num: self.num.abs(),
-            den: self.den,
+        if self.num < 0 {
+            -*self
+        } else {
+            *self
         }
     }
 
@@ -318,6 +341,18 @@ impl Rational {
     }
 
     fn checked_add(&self, other: &Self) -> Self {
+        // Integer fast path: with both denominators 1, `add_general` reduces
+        // to exactly this sum (no gcd to take). On overflow it falls through,
+        // so saturation and its bookkeeping are those of the general path.
+        if self.den == 1 && other.den == 1 {
+            if let Some(num) = self.num.checked_add(other.num) {
+                return Rational { num, den: 1 };
+            }
+        }
+        self.add_general(other)
+    }
+
+    fn add_general(&self, other: &Self) -> Self {
         let g = gcd(self.den, other.den);
         let lcm_part = other.den / g;
         let exact = (|| {
@@ -341,7 +376,41 @@ impl Rational {
         })
     }
 
+    /// `self - other` for `other.num == i128::MIN`, whose negation does not
+    /// exist: exact where the difference fits, otherwise saturated with the
+    /// exact sign of `a*d - c*b`.
+    fn sub_i128_min(&self, other: &Self) -> Self {
+        let g = gcd(self.den, other.den);
+        let lcm_part = other.den / g;
+        let exact = (|| {
+            let num = self
+                .num
+                .checked_mul(lcm_part)?
+                .checked_sub(other.num.checked_mul(self.den / g)?)?;
+            let den = self.den.checked_mul(lcm_part)?;
+            Some(Rational::new(num, den))
+        })();
+        exact.unwrap_or_else(|| {
+            let (sign, magnitude) = signed_product(other.num, self.den);
+            let sign = sum_sign(
+                signed_product(self.num, other.den),
+                (sign.reverse(), magnitude),
+            );
+            saturated(sign == Ordering::Less)
+        })
+    }
+
     fn checked_mul(&self, other: &Self) -> Self {
+        // Integer fast path, as in `checked_add`.
+        if self.den == 1 && other.den == 1 {
+            if let Some(num) = self.num.checked_mul(other.num) {
+                return Rational { num, den: 1 };
+            }
+        }
+        self.mul_general(other)
+    }
+
+    fn mul_general(&self, other: &Self) -> Self {
         let g1 = gcd(self.num, other.den);
         let g2 = gcd(other.num, self.den);
         let exact = (|| {
@@ -396,6 +465,9 @@ impl AddAssign for Rational {
 impl Sub for Rational {
     type Output = Rational;
     fn sub(self, rhs: Rational) -> Rational {
+        if rhs.num == i128::MIN {
+            return self.sub_i128_min(&rhs);
+        }
         self.checked_add(&(-rhs))
     }
 }
@@ -423,9 +495,10 @@ impl Div for Rational {
 impl Neg for Rational {
     type Output = Rational;
     fn neg(self) -> Rational {
-        Rational {
-            num: -self.num,
-            den: self.den,
+        match self.num.checked_neg() {
+            Some(num) => Rational { num, den: self.den },
+            // -i128::MIN is not representable.
+            None => saturated(false),
         }
     }
 }
@@ -677,6 +750,153 @@ mod tests {
         assert_eq!(wide_mul(1 << 64, 1 << 64), (1, 0));
         // (2^128 - 1)^2 = 2^256 - 2^129 + 1.
         assert_eq!(wide_mul(u128::MAX, u128::MAX), (u128::MAX - 1, 1));
+    }
+
+    /// `-x`, `|x|` and `y - x` at `x = i128::MIN`, whose negation `i128`
+    /// cannot hold: the results must keep the true sign and be recorded as
+    /// overflows (they used to wrap silently back to `i128::MIN`).
+    #[test]
+    fn negating_i128_min_saturates_and_poisons() {
+        let min = Rational::from(i128::MIN);
+        let before = overflow_work();
+        assert!((-min).is_positive());
+        assert_eq!(overflow_work(), before + 1);
+        assert!(min.abs().is_positive());
+        assert_eq!(overflow_work(), before + 2);
+
+        // 1 - (-2^126 · 2) = 2^127 + 1 overflows; the sentinel must be positive.
+        let before = overflow_work();
+        let product = Rational::from(i128::MIN / 2) * Rational::from(2);
+        assert_eq!(product, min, "the product itself fits");
+        assert_eq!(overflow_work(), before);
+        let diff = Rational::from(1) - product;
+        assert!(diff.is_positive(), "got {diff:?}");
+        assert_eq!(overflow_work(), before + 1);
+
+        // Non-integer operands keep the true sign too.
+        let before = overflow_work();
+        let diff = Rational::new(-1, 3) * Rational::from(i128::MAX) - min;
+        assert!(diff.is_positive(), "got {diff:?}");
+        let diff = Rational::from(i128::MIN + 5) - Rational::new(i128::MIN, 3);
+        assert!(diff.is_negative(), "got {diff:?}");
+        assert_eq!(overflow_work(), before + 2);
+
+        // Differences that fit stay exact and unrecorded.
+        let before = overflow_work();
+        assert_eq!(min - min, Rational::zero());
+        assert_eq!(Rational::from(-1) - min, Rational::from(i128::MAX));
+        assert_eq!(overflow_work(), before);
+    }
+
+    /// Integer operands draw from four magnitude bands, so that sums and
+    /// products land both inside and beyond `i128`.
+    fn integer_operand(rng: &mut SmallRng) -> i128 {
+        let magnitude = match rng.gen_range(0u32..4) {
+            0 => rng.gen_range(0i128..100),
+            1 => rng.gen_range(0i128..(1 << 62)),
+            2 => rng.gen_range((1i128 << 63)..(1i128 << 64)),
+            _ => rng.gen_range(0i128..i128::MAX),
+        };
+        if rng.gen_bool(0.5) {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+
+    /// The integer fast paths of `+`, `-` and `*` give exactly what the
+    /// general formula gives (value and recorded overflows), in and out of
+    /// `i128` range.
+    #[test]
+    fn prop_integer_fast_path_matches_general_formula() {
+        type Op = fn(Rational, Rational) -> Rational;
+        let mut rng = SmallRng::seed_from_u64(0x4A708);
+        let (mut fitting, mut saturating) = (0, 0);
+        for _ in 0..2048 {
+            let a = Rational::from(integer_operand(&mut rng));
+            let b = Rational::from(integer_operand(&mut rng));
+            let ops: [(Op, Op); 3] = [
+                (|a, b| a + b, |a, b| a.add_general(&b)),
+                (|a, b| a - b, |a, b| a.add_general(&-b)),
+                (|a, b| a * b, |a, b| a.mul_general(&b)),
+            ];
+            for (fast, general) in ops {
+                let before = overflow_work();
+                let fast_value = fast(a, b);
+                let fast_overflows = overflow_work() - before;
+                let before = overflow_work();
+                let general_value = general(a, b);
+                assert_eq!(fast_value, general_value, "{a:?}, {b:?}");
+                assert_eq!(fast_overflows, overflow_work() - before, "{a:?}, {b:?}");
+                if fast_overflows == 0 {
+                    fitting += 1;
+                } else {
+                    saturating += 1;
+                }
+            }
+        }
+        assert!(
+            fitting > 1000 && saturating > 500,
+            "{fitting} / {saturating}"
+        );
+    }
+
+    /// Integer sums and products past `i128` saturate with the true sign and
+    /// are recorded exactly once.
+    #[test]
+    fn integer_overflow_saturates_once_with_the_true_sign() {
+        type Op = fn(Rational, Rational) -> Rational;
+        let (add, sub, mul): (Op, Op, Op) = (|a, b| a + b, |a, b| a - b, |a, b| a * b);
+        let (big, small) = (Rational::from(i128::MAX - 7), Rational::from(i128::MIN + 7));
+        for (lhs, op, rhs, positive) in [
+            (big, add, big, true),
+            (small, add, small, false),
+            (big, sub, small, true),
+            (small, sub, big, false),
+            (big, mul, big, true),
+            (small, mul, small, true),
+            (big, mul, small, false),
+            (small, mul, Rational::from(3), false),
+        ] {
+            let before = overflow_work();
+            let value = op(lhs, rhs);
+            assert_eq!(overflow_work(), before + 1, "{value:?}");
+            assert_eq!(value.is_positive(), positive, "{value:?}");
+            assert_eq!(value.abs(), Rational::from(SATURATED));
+        }
+    }
+
+    /// The `u64` and `u128` Euclid branches agree, and `gcd` picks the right
+    /// one for operands on either side of 2^64.
+    #[test]
+    fn prop_gcd_branches_agree_across_2_pow_64() {
+        let mut rng = SmallRng::seed_from_u64(0x4A709);
+        let two64 = 1u128 << 64;
+        for _ in 0..2048 {
+            // A shared factor makes non-trivial divisors common.
+            let k = u128::from(rng.gen_range(1u64..1 << 20));
+            let a = k * u128::from(rng.gen_range(0u64..1 << 50));
+            let b = k * u128::from(rng.gen_range(0u64..1 << 50));
+            let around = |x: u128| two64 - 64 + x % 128;
+            for (x, y) in [
+                (a, b),
+                (around(a), b),
+                (a, around(b)),
+                (around(a), around(b)),
+            ] {
+                let expected = gcd_u128(x, y);
+                if let (Ok(x64), Ok(y64)) = (u64::try_from(x), u64::try_from(y)) {
+                    assert_eq!(u128::from(gcd_u64(x64, y64)), expected, "{x}, {y}");
+                }
+                let signed = gcd(x as i128, -(y as i128));
+                assert_eq!(signed as u128, expected, "{x}, {y}");
+                if expected != 0 {
+                    assert_eq!((x % expected, y % expected), (0, 0));
+                }
+            }
+        }
+        assert_eq!(gcd(i128::MIN, 6), 2);
+        assert_eq!(gcd(i128::MIN, 3), 1);
     }
 
     fn small_rational(rng: &mut SmallRng) -> Rational {
