@@ -1,8 +1,7 @@
 //! Emits the repository's performance-baseline snapshot (`BENCH_fig10.json`):
 //! per-suite wall-clock and outcome counts for the full HIPTNT+ profile over
 //! the five corpora, the session's total deterministic work units, and the
-//! summary cache's memory accounting (hash-verified keys vs the legacy
-//! full-text-key retention).
+//! summary cache's memory accounting.
 //!
 //! Each suite is run twice through one session: a **cold** pass that analyses
 //! every unique canonical program, then a **warm** pass served entirely from
@@ -45,11 +44,9 @@ struct SuiteSnapshot {
 ///
 /// Schema v2: `cache_hits` is kept for back-compat as the sum of the three
 /// per-tier counters (`dedup_hits` + `memory_hits` + `store_hits`), which make
-/// a hit's provenance attributable in `BENCH_*.json` deltas. Schema v3 adds
-/// `method_hits`, the method-tier replay count — deliberately *not* part of
-/// the `cache_hits` sum, since a method hit rides inside a program-tier miss.
-/// This binary runs without a persistent store, so `store_hits`/`store_writes`
-/// are zero here.
+/// a hit's provenance attributable in `BENCH_*.json` deltas. This binary
+/// runs without a persistent store, so `store_hits`/`store_writes` are zero
+/// here.
 #[derive(Serialize)]
 struct SessionSnapshot {
     programs: u64,
@@ -57,7 +54,6 @@ struct SessionSnapshot {
     dedup_hits: u64,
     memory_hits: u64,
     store_hits: u64,
-    method_hits: u64,
     store_writes: u64,
     cache_misses: u64,
     work: u64,
@@ -73,21 +69,12 @@ struct MemoryReading {
 }
 
 /// The summary cache's memory accounting: what the hash-verified keys hold
-/// resident (after the cold pass, and at steady state once every entry's
-/// first serve has verified and dropped its guard) vs what the legacy
-/// full-text keys would have held for the same entries.
+/// resident after the cold pass, and at steady state once every entry's first
+/// serve has verified and dropped its guard.
 #[derive(Serialize)]
 struct CacheMemorySnapshot {
     after_cold: MemoryReading,
     steady_state: MemoryReading,
-    /// Total keyed-text bytes ever inserted as guards — the legacy scheme's
-    /// permanent text retention for the same entries.
-    inserted_guard_bytes: u64,
-    /// Text retention plus the 8-byte hash the legacy key stored per entry.
-    legacy_resident_bytes: u64,
-    /// `legacy_resident_bytes / steady_state.resident_bytes` — the headline
-    /// reduction of the hash-verified key scheme.
-    reduction_factor: f64,
 }
 
 #[derive(Serialize)]
@@ -154,10 +141,8 @@ fn main() {
     let steady_state = reading(&session);
 
     let stats = session.stats();
-    let memory = session.cache_memory();
-    let legacy = memory.legacy_resident_bytes();
     let snapshot = Snapshot {
-        schema: "hiptnt-bench-snapshot/v3",
+        schema: "hiptnt-bench-snapshot/v4",
         tool: "hiptnt+",
         total_programs: suites.iter().map(|s| s.programs).sum(),
         total_work: suites.iter().map(|s| s.work).sum(),
@@ -170,21 +155,13 @@ fn main() {
             dedup_hits: stats.dedup_hits,
             memory_hits: stats.memory_hits,
             store_hits: stats.store_hits,
-            method_hits: stats.method_hits,
             store_writes: stats.store_writes,
             cache_misses: stats.cache_misses,
             work: stats.work,
         },
         cache_memory: CacheMemorySnapshot {
-            reduction_factor: if steady_state.resident_bytes == 0 {
-                0.0
-            } else {
-                legacy as f64 / steady_state.resident_bytes as f64
-            },
             after_cold,
             steady_state,
-            inserted_guard_bytes: memory.inserted_guard_bytes,
-            legacy_resident_bytes: legacy,
         },
     };
     println!(

@@ -1,7 +1,6 @@
 //! The top-level analyzer: parse → verify → solve → summarise, in one call.
 
-use crate::method_cache::{harvest_records, HarvestedRecords, MethodScope, ReplayPlan};
-use crate::solve::{solve_with_scope, validate_with_budget, SolveOptions, SolveStats};
+use crate::solve::{solve, validate_with_budget, SolveOptions, SolveStats};
 use crate::summary::{summaries, MethodSummary, Verdict};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -191,17 +190,6 @@ pub fn analyze_program(
     program: &Program,
     options: &InferOptions,
 ) -> Result<AnalysisResult, InferError> {
-    analyze_program_scoped(program, options, None).map(|(result, _)| result)
-}
-
-/// [`analyze_program`] with an optional method-tier scope: replays the scope's
-/// plan during the solve and, when any SCC missed, harvests fresh method
-/// records for the session to publish.
-pub(crate) fn analyze_program_scoped(
-    program: &Program,
-    options: &InferOptions,
-    scope: Option<&MethodScope>,
-) -> Result<(AnalysisResult, HarvestedRecords), InferError> {
     let start = Instant::now();
     // Snapshot before verification: the Hoare pass already runs entailment checks
     // through the same saturating rational arithmetic, and assumptions corrupted
@@ -210,11 +198,7 @@ pub(crate) fn analyze_program_scoped(
     let analysis = verify_program(program).map_err(|e| InferError {
         message: e.to_string(),
     })?;
-    let default_plan = ReplayPlan::default();
-    let plan = scope.map(|s| &s.plan).unwrap_or(&default_plan);
-    let trace_enabled = scope.is_some_and(MethodScope::wants_trace);
-    let (theta, mut stats, trace) =
-        solve_with_scope(&analysis, &options.solve_options(), plan, trace_enabled);
+    let (theta, mut stats) = solve(&analysis, &options.solve_options());
     let mut validated = if options.validate {
         validate_with_budget(&analysis, &theta, options.work_budget)
     } else {
@@ -253,28 +237,13 @@ pub(crate) fn analyze_program_scoped(
             summary.precondition = None;
         }
     }
-    let records = match scope {
-        Some(scope) if trace_enabled => harvest_records(
-            &analysis,
-            scope,
-            &trace,
-            &theta,
-            &stats,
-            poisoned,
-            options.work_budget,
-        ),
-        _ => Vec::new(),
-    };
-    Ok((
-        AnalysisResult {
-            summaries: summary_map,
-            stats,
-            validated,
-            poisoned,
-            elapsed: start.elapsed().as_secs_f64(),
-        },
-        records,
-    ))
+    Ok(AnalysisResult {
+        summaries: summary_map,
+        stats,
+        validated,
+        poisoned,
+        elapsed: start.elapsed().as_secs_f64(),
+    })
 }
 
 /// Analyses source text: runs the full front-end (parse, type-check, desugar,

@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 
 pub mod analyzer;
-pub mod method_cache;
 pub mod precondition;
 pub mod prove;
 pub mod session;
@@ -68,9 +67,6 @@ pub mod summary;
 pub mod theta;
 
 pub use analyzer::{analyze_program, analyze_source, AnalysisResult, InferError, InferOptions};
-pub use method_cache::{
-    CaseOutcome, CaseSnapshot, EventRecord, MethodKey, MethodRecord, RootRecord,
-};
 pub use session::{
     AnalysisSession, BatchEntry, CacheTier, ProgramKey, SessionStats, SummaryBackend,
 };

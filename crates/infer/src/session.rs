@@ -63,12 +63,7 @@
 //! assert_eq!((stats.cache_misses, stats.cache_hits()), (1, 1));
 //! ```
 
-use crate::analyzer::{
-    analyze_program, analyze_program_scoped, AnalysisResult, InferError, InferOptions,
-};
-use crate::method_cache::{
-    scc_keys, HarvestedRecords, MethodKey, MethodRecord, MethodScope, ReplayPlan,
-};
+use crate::analyzer::{analyze_program, AnalysisResult, InferError, InferOptions};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,7 +147,7 @@ impl ProgramKey {
 
     /// Streams both FNV variants over the already-joined keyed text
     /// (canonical program + `'\x1f'` + options fingerprint).
-    pub(crate) fn of_keyed_text(keyed: &str) -> ProgramKey {
+    fn of_keyed_text(keyed: &str) -> ProgramKey {
         let mut a: u64 = FNV_OFFSET;
         let mut b: u64 = FNV_OFFSET;
         for byte in keyed.bytes() {
@@ -226,21 +221,6 @@ pub trait SummaryBackend: Send + Sync {
     /// are deterministic, so rewriting would only duplicate the record).
     fn store(&self, key: &ProgramKey, fingerprint_hash: u64, result: &AnalysisResult) -> bool;
 
-    /// Loads the method-tier record stored under `key`, if any. The default
-    /// implementation serves nothing — a backend without method-tier support
-    /// simply never produces method hits.
-    fn load_method(&self, key: &MethodKey, fingerprint_hash: u64) -> Option<MethodRecord> {
-        let _ = (key, fingerprint_hash);
-        None
-    }
-
-    /// Persists a method-tier record under `key`. Returns `true` when a record
-    /// was actually written. The default implementation drops the record.
-    fn store_method(&self, key: &MethodKey, fingerprint_hash: u64, record: &MethodRecord) -> bool {
-        let _ = (key, fingerprint_hash, record);
-        false
-    }
-
     /// Drains any diagnostics the backend accumulated (e.g. corrupt records it
     /// self-healed around). The default implementation has none.
     fn take_diagnostics(&self) -> Vec<String> {
@@ -272,25 +252,11 @@ struct CacheSlot {
     conflicted: bool,
 }
 
-/// One method-tier entry: the replay record plus the same one-shot full-text
-/// verification guard the program tier uses (see [`CacheSlot`]). After the
-/// guard is verified and dropped, later inserts are cross-checked by record
-/// equality instead — the analysis is deterministic, so a differing record
-/// under one key proves a collision and permanently poisons the slot.
-struct MethodSlot {
-    record: MethodRecord,
-    guard: Option<Box<str>>,
-    conflicted: bool,
-}
-
 /// A point-in-time snapshot of the summary cache's memory footprint, read via
 /// [`AnalysisSession::cache_memory`].
 ///
-/// `inserted_guard_bytes` counts every keyed-text byte ever inserted as a
-/// verification guard — exactly what a scheme that kept the full text inside
-/// each key would hold resident forever. `resident_guard_bytes` is what the
-/// hash-verified scheme actually still holds (guards not yet verified and
-/// dropped), and `key_bytes` is the fixed 16 bytes per entry.
+/// `resident_guard_bytes` is the keyed text the cache still holds (guards not
+/// yet verified and dropped), and `key_bytes` is the fixed 16 bytes per entry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheMemory {
     /// Live cache entries.
@@ -299,21 +265,12 @@ pub struct CacheMemory {
     pub key_bytes: u64,
     /// Verification-guard bytes still resident (not yet verified and dropped).
     pub resident_guard_bytes: u64,
-    /// Total keyed-text bytes ever inserted as guards — the resident footprint
-    /// the previous full-text-key scheme would have kept.
-    pub inserted_guard_bytes: u64,
 }
 
 impl CacheMemory {
     /// Bytes currently resident under the hash-verified scheme.
     pub fn resident_bytes(&self) -> u64 {
         self.key_bytes + self.resident_guard_bytes
-    }
-
-    /// Bytes the legacy full-text-key scheme would keep resident for the same
-    /// entries (text plus the 8-byte precomputed hash it stored per key).
-    pub fn legacy_resident_bytes(&self) -> u64 {
-        self.inserted_guard_bytes + self.entries * 8
     }
 }
 
@@ -338,13 +295,9 @@ pub struct SessionStats {
     pub store_hits: u64,
     /// Freshly computed results written behind to the persistent store tier.
     pub store_writes: u64,
-    /// Methods (not programs) served from the per-method record tier during
-    /// batch analysis: the member count of every call-graph SCC whose cached
-    /// method record was replayed instead of re-proven. Deliberately *not*
-    /// part of [`SessionStats::cache_hits`] — the program still runs a
-    /// (replay-scoped) analysis and is counted in
-    /// [`SessionStats::cache_misses`] as usual; only the session's measured
-    /// [`SessionStats::work`] shrinks.
+    /// Always `0`: the per-method record tier that counted here is gone. Kept
+    /// only because the benchmark package still reads it; the next change to
+    /// the benchmark removes it.
     pub method_hits: u64,
     /// Programs actually analysed.
     pub cache_misses: u64,
@@ -394,10 +347,6 @@ pub struct BatchEntry {
     /// aborted run had already spent. Identical across runs, worker counts, and
     /// cache on/off.
     pub work: u64,
-    /// Methods of this program served from the method-record tier (see
-    /// [`SessionStats::method_hits`]); `0` for cache hits, duplicates, and
-    /// fully cold analyses.
-    pub method_hits: u64,
     /// Wall-clock seconds *this entry* cost in this batch: the analysis time
     /// for a fresh computation, the (near-zero) lookup time for a cache hit.
     /// The original computation's cost of a served result remains available as
@@ -413,7 +362,6 @@ impl BatchEntry {
             cache_hit: false,
             tier: None,
             work: 0,
-            method_hits: 0,
             elapsed: 0.0,
         }
     }
@@ -422,9 +370,6 @@ impl BatchEntry {
 /// Outcome of analysing one unique program inside a batch.
 struct JobOutcome {
     result: Result<AnalysisResult, InferError>,
-    /// Freshly harvested method records (key, keyed text, record) for the
-    /// session to publish; empty unless the job ran with a method scope.
-    records: HarvestedRecords,
     panic_note: Option<String>,
     /// Work units actually spent on this worker thread (also what a panicked run
     /// burnt before aborting).
@@ -448,20 +393,13 @@ pub struct AnalysisSession {
     store: Option<std::sync::Arc<dyn SummaryBackend>>,
     /// [`fingerprint_hash`] of the default profile's fingerprint.
     fingerprint_hash: u64,
-    /// Method-tier records keyed by composite SCC key (see
-    /// [`crate::method_cache`]); consulted only by batch analysis, and only
-    /// when the cache is enabled.
-    method_memory: Mutex<HashMap<MethodKey, MethodSlot>>,
     programs: AtomicU64,
     dedup_hits: AtomicU64,
     memory_hits: AtomicU64,
     store_hits: AtomicU64,
     store_writes: AtomicU64,
-    method_hits: AtomicU64,
     misses: AtomicU64,
     work: AtomicU64,
-    /// Total keyed-text bytes ever inserted as verification guards.
-    guard_bytes: AtomicU64,
 }
 
 impl std::fmt::Debug for AnalysisSession {
@@ -489,11 +427,8 @@ impl AnalysisSession {
             memory_hits: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
             store_writes: AtomicU64::new(0),
-            method_memory: Mutex::new(HashMap::new()),
-            method_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             work: AtomicU64::new(0),
-            guard_bytes: AtomicU64::new(0),
         }
     }
 
@@ -539,7 +474,7 @@ impl AnalysisSession {
             memory_hits: self.memory_hits.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_writes: self.store_writes.load(Ordering::Relaxed),
-            method_hits: self.method_hits.load(Ordering::Relaxed),
+            method_hits: 0,
             cache_misses: self.misses.load(Ordering::Relaxed),
             work: self.work.load(Ordering::Relaxed),
         }
@@ -576,7 +511,6 @@ impl AnalysisSession {
             entries: map.len() as u64,
             key_bytes: map.len() as u64 * std::mem::size_of::<ProgramKey>() as u64,
             resident_guard_bytes: resident,
-            inserted_guard_bytes: self.guard_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -617,11 +551,6 @@ impl AnalysisSession {
             };
             match map.entry(key) {
                 std::collections::hash_map::Entry::Vacant(entry) => {
-                    // Counted for every entry regardless of `verified`: this
-                    // is the resident footprint the legacy full-text-key
-                    // scheme would have kept.
-                    self.guard_bytes
-                        .fetch_add(keyed.len() as u64, Ordering::Relaxed);
                     entry.insert(CacheSlot {
                         result: result.clone(),
                         guard: (!verified).then(|| keyed.into()),
@@ -682,89 +611,6 @@ impl AnalysisSession {
                 self.store_writes.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Looks up a method-tier record, verifying the slot's guard against the
-    /// probing SCC's keyed text (same discipline as [`Self::cache_get`]).
-    fn method_get(&self, key: &MethodKey, keyed: &str) -> Option<MethodRecord> {
-        let mut map = match self.method_memory.lock() {
-            Ok(map) => map,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let slot = map.get_mut(key)?;
-        if slot.conflicted {
-            return None;
-        }
-        if let Some(guard) = slot.guard.take() {
-            if *guard != *keyed {
-                slot.conflicted = true;
-                return None;
-            }
-        }
-        Some(slot.record.clone())
-    }
-
-    /// Inserts a method-tier record. A mismatching guard *or* a differing
-    /// record under an already-verified key proves a collision and poisons the
-    /// slot (the analysis is deterministic, so equal keyed texts always
-    /// harvest equal records).
-    fn method_put(&self, key: MethodKey, keyed: &str, record: &MethodRecord) {
-        let mut map = match self.method_memory.lock() {
-            Ok(map) => map,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert(MethodSlot {
-                    record: record.clone(),
-                    guard: Some(keyed.into()),
-                    conflicted: false,
-                });
-            }
-            std::collections::hash_map::Entry::Occupied(mut entry) => {
-                let slot = entry.get_mut();
-                if !slot.conflicted
-                    && (slot.guard.as_deref().is_some_and(|g| g != keyed) || slot.record != *record)
-                {
-                    slot.conflicted = true;
-                }
-            }
-        }
-    }
-
-    /// Builds the method-tier scope of one batch job: computes the composite
-    /// key of every call-graph SCC bottom-up, probes the memory then store
-    /// tiers, and merges every hit record into the job's replay plan. Returns
-    /// the scope plus the number of methods served (`None` when the cache is
-    /// disabled — the method tier sits strictly behind it).
-    fn method_scope(&self, program: &Program) -> Option<(MethodScope, u64)> {
-        self.cache.as_ref()?;
-        let graph = tnt_verify::CallGraph::build(program);
-        let mut sccs = scc_keys(program, &graph, &self.fingerprint);
-        let mut plan = ReplayPlan::default();
-        let mut hits = 0u64;
-        for scc in &mut sccs {
-            let memory = self.method_get(&scc.key, &scc.keyed);
-            let from_store = memory.is_none();
-            let record = memory.or_else(|| {
-                self.store
-                    .as_ref()?
-                    .load_method(&scc.key, self.fingerprint_hash)
-            });
-            let Some(record) = record else { continue };
-            if record.methods != scc.methods {
-                // Identity cross-check: a key that maps to a record for other
-                // methods is a collision (or store corruption) — skip it.
-                continue;
-            }
-            if from_store {
-                self.method_put(scc.key, &scc.keyed, &record);
-            }
-            hits += record.methods.len() as u64;
-            plan.merge(&record);
-            scc.hit = true;
-        }
-        Some((MethodScope { plan, sccs }, hits))
     }
 
     /// Drains the diagnostics accumulated by the persistent store tier (e.g.
@@ -877,12 +723,6 @@ impl AnalysisSession {
             key: Option<(ProgramKey, String)>,
             /// Input indices served by this job (first = the computing one).
             targets: Vec<usize>,
-            /// The method-tier replay scope (probed up-front, sequentially),
-            /// `None` when the cache is disabled or the job is a collision
-            /// fallback.
-            scope: Option<MethodScope>,
-            /// Methods served from the method tier into this job's scope.
-            method_hits: u64,
         }
 
         self.programs
@@ -901,8 +741,6 @@ impl AnalysisSession {
             if self.cache_enabled() {
                 let keyed = keyed_text(&canonical_program(&program), &self.fingerprint);
                 let key = ProgramKey::of_keyed_text(&keyed);
-                let mut scope = None;
-                let mut method_hits = 0u64;
                 if let Some(&job_index) = job_of_key.get(&key) {
                     // De-duplicated within this batch — but only after the
                     // same full-text comparison the cache guards perform, so
@@ -927,7 +765,6 @@ impl AnalysisSession {
                             cache_hit: true,
                             tier: Some(tier),
                             work: hit.stats.work,
-                            method_hits: 0,
                             // The lookup span only: a served entry costs its
                             // (near-zero) lookup, not the original analysis —
                             // that cost stays in `AnalysisResult::elapsed`.
@@ -937,29 +774,17 @@ impl AnalysisSession {
                         continue;
                     }
                     job_of_key.insert(key, jobs.len());
-                    // Program tier missed: probe the method tier (sequentially
-                    // here, so hit accounting is deterministic across worker
-                    // counts) and hand the job a replay scope.
-                    if let Some((built, hits)) = self.method_scope(&program) {
-                        self.method_hits.fetch_add(hits, Ordering::Relaxed);
-                        method_hits = hits;
-                        scope = Some(built);
-                    }
                 }
                 jobs.push(Job {
                     program,
                     key: Some((key, keyed)),
                     targets: vec![index],
-                    scope,
-                    method_hits,
                 });
             } else {
                 jobs.push(Job {
                     program,
                     key: None,
                     targets: vec![index],
-                    scope: None,
-                    method_hits: 0,
                 });
             }
         }
@@ -967,9 +792,11 @@ impl AnalysisSession {
         // Run the unique analyses across the worker pool. Each job executes
         // wholly on one worker, so the per-thread counters (work units, overflow
         // poison) attribute correctly; the job order is fixed up-front and the
-        // slot writes are indexed, so scheduling cannot reorder results.
+        // slot writes are indexed, so scheduling cannot reorder results. A
+        // batch with no unique analysis left (every input a hit or a parse
+        // error) spawns no worker at all.
         let mut outcomes: Vec<Option<JobOutcome>> = (0..jobs.len()).map(|_| None).collect();
-        let workers = workers.max(1).min(jobs.len().max(1));
+        let workers = workers.max(1).min(jobs.len());
         let next = AtomicU64::new(0);
         let slots = Mutex::new(&mut outcomes);
         std::thread::scope(|scope| {
@@ -979,7 +806,7 @@ impl AnalysisSession {
                     let Some(job) = jobs.get(index) else {
                         return;
                     };
-                    let outcome = run_job(&job.program, &self.options, job.scope.as_ref());
+                    let outcome = run_job(&job.program, &self.options);
                     self.work.fetch_add(outcome.spent, Ordering::Relaxed);
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     let mut guard = match slots.lock() {
@@ -1006,16 +833,6 @@ impl AnalysisSession {
                     self.fingerprint_hash,
                 );
             }
-            // Install the harvested method records behind both tiers. These
-            // are auxiliary replay data riding along with the program-tier
-            // write: they deliberately do not move `store_writes` (that
-            // counter mirrors `cache_misses` one-to-one).
-            for (method_key, method_keyed, record) in &outcome.records {
-                self.method_put(*method_key, method_keyed, record);
-                if let Some(store) = &self.store {
-                    store.store_method(method_key, self.fingerprint_hash, record);
-                }
-            }
             let repeats = job.targets.len().saturating_sub(1) as u64;
             self.dedup_hits.fetch_add(repeats, Ordering::Relaxed);
             for (position, target) in job.targets.iter().enumerate() {
@@ -1028,7 +845,6 @@ impl AnalysisSession {
                         Ok(result) => result.stats.work,
                         Err(_) => outcome.spent,
                     },
-                    method_hits: if position > 0 { 0 } else { job.method_hits },
                     // A duplicate consumed no wall-clock of its own: the
                     // analysis cost is reported once, on the computing entry.
                     elapsed: if position > 0 { 0.0 } else { outcome.elapsed },
@@ -1043,32 +859,28 @@ impl AnalysisSession {
 }
 
 /// Analyses one unique program, isolating panics and attributing the work units
-/// spent before an abort. With a method scope the analysis replays the scope's
-/// cached records and harvests fresh ones for the missed SCCs.
-fn run_job(program: &Program, options: &InferOptions, scope: Option<&MethodScope>) -> JobOutcome {
+/// spent before an abort.
+fn run_job(program: &Program, options: &InferOptions) -> JobOutcome {
     let start = std::time::Instant::now();
     let work_before = crate::solve::work_units();
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        analyze_program_scoped(program, options, scope)
+        analyze_program(program, options)
     }));
     let spent = crate::solve::work_units().wrapping_sub(work_before);
-    let (result, records, panic_note) = match attempt {
-        Ok(Ok((result, records))) => (Ok(result), records, None),
-        Ok(Err(error)) => (Err(error), Vec::new(), None),
+    let (result, panic_note) = match attempt {
+        Ok(result) => (result, None),
         Err(payload) => {
             let note = panic_note(payload.as_ref());
             (
                 Err(InferError {
                     message: note.clone(),
                 }),
-                Vec::new(),
                 Some(note),
             )
         }
     };
     JobOutcome {
         result,
-        records,
         panic_note,
         spent,
         elapsed: start.elapsed().as_secs_f64(),
@@ -1286,16 +1098,16 @@ void main(node x) requires cll(x, n) ensures true; { return; }";
         session.analyze_source(COUNTDOWN).unwrap();
         let before = session.cache_memory();
         assert_eq!(before.entries, 1);
-        assert!(before.resident_guard_bytes > 0);
-        assert_eq!(before.resident_guard_bytes, before.inserted_guard_bytes);
+        // The unverified entry holds its full keyed text as the guard.
+        let program = tnt_lang::frontend(COUNTDOWN).unwrap();
+        let keyed = keyed_text(&canonical_program(&program), &session.fingerprint);
+        assert_eq!(before.resident_guard_bytes, keyed.len() as u64);
         // The first hit verifies the guard byte-for-byte, then drops it.
         session.analyze_source(COUNTDOWN_WS).unwrap();
         let after = session.cache_memory();
         assert_eq!(session.stats().cache_hits(), 1);
         assert_eq!(after.resident_guard_bytes, 0);
-        assert_eq!(after.inserted_guard_bytes, before.inserted_guard_bytes);
         assert_eq!(after.resident_bytes(), 16, "one bare 16-byte key remains");
-        assert!(after.legacy_resident_bytes() > after.resident_bytes());
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! The overall inference algorithm `solve` (Fig. 6) and the post-hoc validation of the
 //! inferred definitions.
 
-use crate::method_cache::{
-    CaseOutcome, CaseSnapshot, EventRecord, ReplayPlan, RootRecord, SolveTrace,
-};
 use crate::prove::{
     prove_nonterm, prove_nonterm_assuming, prove_nonterm_recurrent,
     prove_nonterm_recurrent_enriched, prove_term, prove_term_conditional, split, ProveOptions,
@@ -136,22 +133,6 @@ pub struct SolveStats {
 
 /// Runs the paper's `solve` procedure over the assumptions of a verified program.
 pub fn solve(analysis: &ProgramAnalysis, options: &SolveOptions) -> (Theta, SolveStats) {
-    let (theta, stats, _) = solve_with_scope(analysis, options, &ReplayPlan::default(), false);
-    (theta, stats)
-}
-
-/// [`solve`] with method-tier replay and harvest hooks (see
-/// [`crate::method_cache`]): recorded iteration-0 SCC resolutions from `plan`
-/// are injected in place of re-running the provers (with their recorded
-/// work/pivot cost charged to [`SolveStats`], so the returned statistics stay
-/// byte-identical to a cold run), and — when `trace_enabled` — the run's own
-/// replay-eligible events are captured for harvesting.
-pub(crate) fn solve_with_scope(
-    analysis: &ProgramAnalysis,
-    options: &SolveOptions,
-    plan: &ReplayPlan,
-    trace_enabled: bool,
-) -> (Theta, SolveStats, SolveTrace) {
     let mut theta = Theta::new();
     let mut stats = SolveStats::default();
     for method in analysis.methods.values() {
@@ -204,38 +185,16 @@ pub(crate) fn solve_with_scope(
         }
     }
 
-    // Post-base-case snapshot: the canonical iteration-0 state the method-tier
-    // records are keyed on. Base-case inference is method-local, so a root
-    // whose recorded partition matches this snapshot structurally has
-    // reproduced its cone's canonical state, and the recorded events on it may
-    // fire. Captured only when the method tier is engaged.
-    let mut trace = SolveTrace::default();
-    let scoped = trace_enabled || !plan.is_empty();
-    let base_snapshot: Vec<RootRecord> = if scoped {
-        snapshot_roots(&theta)
-    } else {
-        Vec::new()
-    };
-    if trace_enabled {
-        trace.base = base_snapshot.clone();
-    }
-    let replay_events = active_events(plan, &base_snapshot);
-    // Work/pivots charged on behalf of intercepted events: added to the
-    // reported `stats.work` (keeping it byte-identical to a cold run) and
-    // subtracted from the solver deadline (keeping the budget horizon where
-    // the cold run would have had it).
-    let mut injected_work: u64 = 0;
-    let mut injected_pivots: u64 = 0;
-
     // Main refinement loop (lines 6–14 of Fig. 6).
     let prove_options = options.prove_options();
     let work_start = work_units();
     // The deadline lets synthesis loops inside the solver stop between LP solves,
     // bounding how far a single prove call can overshoot the budget.
-    let deadline_base = tnt_solver::simplex::pivot_work().saturating_add(options.work_budget);
-    let previous_deadline = tnt_solver::simplex::set_work_deadline(deadline_base);
-    let over_budget = |stats: &mut SolveStats, injected: u64| {
-        stats.work = work_units().wrapping_sub(work_start).wrapping_add(injected);
+    let previous_deadline = tnt_solver::simplex::set_work_deadline(
+        tnt_solver::simplex::pivot_work().saturating_add(options.work_budget),
+    );
+    let over_budget = |stats: &mut SolveStats| {
+        stats.work = work_units().wrapping_sub(work_start);
         stats.work > options.work_budget
     };
     // Abductive splits applied so far per root case family, charged against
@@ -249,7 +208,7 @@ pub(crate) fn solve_with_scope(
             break;
         }
         let total_cases: usize = theta.definitions().map(|(_, d)| d.cases.len()).sum();
-        if total_cases > options.max_total_cases || over_budget(&mut stats, injected_work) {
+        if total_cases > options.max_total_cases || over_budget(&mut stats) {
             stats.budget_exhausted = true;
             break;
         }
@@ -260,7 +219,7 @@ pub(crate) fn solve_with_scope(
 
         let mut progressed = false;
         for scc in graph.sccs.clone() {
-            if over_budget(&mut stats, injected_work) {
+            if over_budget(&mut stats) {
                 stats.budget_exhausted = true;
                 break 'outer;
             }
@@ -272,97 +231,11 @@ pub(crate) fn solve_with_scope(
             {
                 continue;
             }
-            // Stable member coordinates for the method tier: `(root, case
-            // index, pre name)` per member. Only meaningful in the pre-restart
-            // window — iteration 0, where no split has yet moved an index
-            // (every split path restarts the iteration immediately).
-            let members: Option<Vec<(String, usize, String)>> = (iteration == 0 && scoped)
-                .then(|| scc_members(&theta, &scc))
-                .flatten();
-
-            // Replay interception: a recorded event whose member set matches
-            // (and whose roots reproduced their recorded base partitions) is
-            // applied outright — recorded resolutions, counters, work — in
-            // place of re-running the provers. The deadline-safety check keeps
-            // a case where the cold run's prover would have tripped the budget
-            // deadline mid-proof on the fresh path instead.
-            if let Some(ms) = &members {
-                let key: Vec<(String, usize)> =
-                    ms.iter().map(|(r, i, _)| (r.clone(), *i)).collect();
-                if let Some(event) = replay_events.get(&key) {
-                    let within_deadline = tnt_solver::simplex::pivot_work()
-                        .wrapping_add(injected_pivots)
-                        .wrapping_add(event.pivots)
-                        <= deadline_base;
-                    let pre_of: BTreeMap<(&str, usize), &str> = ms
-                        .iter()
-                        .map(|(r, i, p)| ((r.as_str(), *i), p.as_str()))
-                        .collect();
-                    let applicable = within_deadline
-                        && event.outcomes.len() == ms.len()
-                        && event
-                            .outcomes
-                            .iter()
-                            .all(|(r, i, _)| pre_of.contains_key(&(r.as_str(), *i)));
-                    if applicable {
-                        for (root, index, outcome) in &event.outcomes {
-                            let pre = pre_of[&(root.as_str(), *index)].to_string();
-                            theta.resolve(&pre, outcome.to_state());
-                        }
-                        stats.ranking_attempts += event.ranking_attempts;
-                        stats.nonterm_attempts += event.nonterm_attempts;
-                        injected_work = injected_work.wrapping_add(event.work);
-                        injected_pivots = injected_pivots.wrapping_add(event.pivots);
-                        tnt_solver::simplex::set_work_deadline(
-                            deadline_base.saturating_sub(injected_pivots),
-                        );
-                        if trace_enabled {
-                            trace.events.push((*event).clone());
-                        }
-                        progressed = true;
-                        continue;
-                    }
-                }
-            }
-            // Harvest window: snapshot the counters so a replay-eligible
-            // resolution below can record its exact deltas.
-            let event_start = members
-                .as_ref()
-                .filter(|_| trace_enabled)
-                .map(|_| EventStart {
-                    work: work_units(),
-                    pivots: tnt_solver::simplex::pivot_work(),
-                    ranking_attempts: stats.ranking_attempts,
-                    nonterm_attempts: stats.nonterm_attempts,
-                });
-            let finish_event = |start: &Option<EventStart>,
-                                ms: &Option<Vec<(String, usize, String)>>,
-                                stats: &SolveStats,
-                                outcomes: Vec<(String, usize, CaseOutcome)>|
-             -> Option<EventRecord> {
-                let (start, ms) = (start.as_ref()?, ms.as_ref()?);
-                (outcomes.len() == ms.len()).then(|| EventRecord {
-                    members: ms.iter().map(|(r, i, _)| (r.clone(), *i)).collect(),
-                    outcomes,
-                    work: work_units().wrapping_sub(start.work),
-                    pivots: tnt_solver::simplex::pivot_work().wrapping_sub(start.pivots),
-                    ranking_attempts: stats.ranking_attempts - start.ranking_attempts,
-                    nonterm_attempts: stats.nonterm_attempts - start.nonterm_attempts,
-                })
-            };
             let successors = graph.scc_successors(&scc);
             let trivially_terminating =
                 successors.is_empty() && scc.len() == 1 && !graph.has_self_edge(&scc[0]);
             if trivially_terminating {
                 theta.resolve(&scc[0], CaseState::Term(vec![]));
-                let outcomes = members
-                    .iter()
-                    .flatten()
-                    .map(|(r, i, _)| (r.clone(), *i, CaseOutcome::Term(vec![])))
-                    .collect();
-                if let Some(event) = finish_event(&event_start, &members, &stats, outcomes) {
-                    trace.events.push(event);
-                }
                 progressed = true;
                 continue;
             }
@@ -371,19 +244,8 @@ pub(crate) fn solve_with_scope(
             if all_term {
                 stats.ranking_attempts += 1;
                 if let Some(measures) = prove_term(&scc, &graph, &theta, &prove_options) {
-                    let mut outcomes = Vec::new();
                     for (pre, measure) in measures {
-                        if let Some((r, i, _)) = members
-                            .iter()
-                            .flatten()
-                            .find(|(_, _, member_pre)| *member_pre == pre)
-                        {
-                            outcomes.push((r.clone(), *i, CaseOutcome::Term(measure.clone())));
-                        }
                         theta.resolve(&pre, CaseState::Term(measure));
-                    }
-                    if let Some(event) = finish_event(&event_start, &members, &stats, outcomes) {
-                        trace.events.push(event);
                     }
                     progressed = true;
                     continue;
@@ -396,14 +258,6 @@ pub(crate) fn solve_with_scope(
             if outcome.success {
                 for pre in &scc {
                     theta.resolve(pre, CaseState::Loop);
-                }
-                let outcomes = members
-                    .iter()
-                    .flatten()
-                    .map(|(r, i, _)| (r.clone(), *i, CaseOutcome::Loop))
-                    .collect();
-                if let Some(event) = finish_event(&event_start, &members, &stats, outcomes) {
-                    trace.events.push(event);
                 }
                 progressed = true;
                 continue;
@@ -526,99 +380,11 @@ pub(crate) fn solve_with_scope(
             break;
         }
     }
-    stats.work = work_units()
-        .wrapping_sub(work_start)
-        .wrapping_add(injected_work);
+    stats.work = work_units().wrapping_sub(work_start);
     tnt_solver::simplex::set_work_deadline(previous_deadline);
 
     theta.finalize();
-    (theta, stats, trace)
-}
-
-/// Counter values at the start of one SCC's processing (the harvest window).
-struct EventStart {
-    work: u64,
-    pivots: u64,
-    ranking_attempts: usize,
-    nonterm_attempts: usize,
-}
-
-/// The post-base-case partition of every definition, as method-tier records.
-fn snapshot_roots(theta: &Theta) -> Vec<RootRecord> {
-    theta
-        .definitions()
-        .map(|(root, def)| RootRecord {
-            root: root.clone(),
-            cases: def
-                .cases
-                .iter()
-                .map(|case| CaseSnapshot {
-                    guard: case.guard.clone(),
-                    base: matches!(&case.state, CaseState::Term(m) if m.is_empty()),
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-/// Validates the replay plan against the fresh post-base-case snapshot and
-/// indexes the surviving events by their sorted member set. A root whose
-/// recorded partition differs from the fresh one (or is missing) deactivates
-/// every event touching it; duplicate member sets deactivate each other.
-fn active_events<'p>(
-    plan: &'p ReplayPlan,
-    snapshot: &[RootRecord],
-) -> BTreeMap<Vec<(String, usize)>, &'p EventRecord> {
-    if plan.is_empty() {
-        return BTreeMap::new();
-    }
-    let fresh: BTreeMap<&str, &RootRecord> =
-        snapshot.iter().map(|r| (r.root.as_str(), r)).collect();
-    let active_roots: BTreeSet<&str> = plan
-        .roots
-        .iter()
-        .filter(|recorded| fresh.get(recorded.root.as_str()) == Some(&&**recorded))
-        .map(|r| r.root.as_str())
-        .collect();
-    let mut events: BTreeMap<Vec<(String, usize)>, Option<&EventRecord>> = BTreeMap::new();
-    for event in &plan.events {
-        let usable = !event.members.is_empty()
-            && event.members.iter().all(|(root, index)| {
-                active_roots.contains(root.as_str())
-                    && fresh
-                        .get(root.as_str())
-                        .and_then(|r| r.cases.get(*index))
-                        .is_some_and(|c| !c.base)
-            });
-        if !usable {
-            continue;
-        }
-        events
-            .entry(event.members.clone())
-            .and_modify(|slot| *slot = None)
-            .or_insert(Some(event));
-    }
-    events
-        .into_iter()
-        .filter_map(|(key, event)| event.map(|e| (key, e)))
-        .collect()
-}
-
-/// The `(root, case index, pre name)` coordinates of a reachability SCC's
-/// members, sorted by `(root, index)`. `None` when any member is missing or
-/// already resolved — the SCC is then outside the replayable window.
-fn scc_members(theta: &Theta, scc: &[String]) -> Option<Vec<(String, usize, String)>> {
-    let mut members = Vec::with_capacity(scc.len());
-    for pre in scc {
-        let (root, index) = theta.case_of_pre(pre)?;
-        let case = theta.definition(root)?.cases.get(index)?;
-        if !matches!(&case.state, CaseState::Unknown { .. }) {
-            return None;
-        }
-        members.push((root.to_string(), index, pre.clone()));
-    }
-    members.sort();
-    Some(members)
+    (theta, stats)
 }
 
 /// The deterministic work measure budgeted by [`SolveOptions::work_budget`]:

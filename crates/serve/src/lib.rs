@@ -19,8 +19,7 @@
 //!
 //! ```text
 //! {"id":1,"status":"ok","verdict":"Y","precondition":null,"cached":false,
-//!  "tier":null,"method_hits":0,"work":63,"poisoned":false,"validated":true,
-//!  "elapsed_s":0.002,
+//!  "tier":null,"work":63,"poisoned":false,"validated":true,"elapsed_s":0.002,
 //!  "summaries":{"f":"case {\n  x <= 0 -> requires Term ensures true;\n  ...}"}}
 //! ```
 //!
@@ -29,11 +28,8 @@
 //! inferred input precondition as `{"kind":"terminating"|"non-terminating",
 //! "region":"…"}` — or `null` for a plain verdict, so the schema is stable —
 //! `tier` names the cache tier that served a repeat (`"dedup"`, `"memory"`,
-//! `"store"`), `method_hits` counts the method-granular summaries replayed
-//! from the per-method record tier while computing this program (an edited
-//! program is a program-tier miss, but its unedited methods are served from
-//! their cached records), and `summaries` maps each summary label to its
-//! rendered case-based specification. Malformed requests
+//! `"store"`), and `summaries` maps each summary label to its rendered
+//! case-based specification. Malformed requests
 //! and failed analyses produce `{"id":…,"status":"error","error":"…"}` — the
 //! loop never dies on a bad request, and a panicking analysis is isolated by
 //! the session's per-program `catch_unwind` machinery.
@@ -202,8 +198,6 @@ fn render_response(id: &Value, entry: &BatchEntry) -> String {
         Some(CacheTier::Store) => out.push_str("\"store\""),
         None => out.push_str("null"),
     }
-    out.push_str(",\"method_hits\":");
-    out.push_str(&entry.method_hits.to_string());
     out.push_str(",\"work\":");
     out.push_str(&entry.work.to_string());
     out.push_str(",\"poisoned\":");
@@ -307,7 +301,6 @@ mod tests {
         assert_eq!(resp.get("verdict").and_then(Value::as_str), Some("Y"));
         assert_eq!(resp.get("cached").and_then(Value::as_bool), Some(false));
         assert!(resp.get("tier").unwrap().is_null());
-        assert_eq!(resp.get("method_hits").and_then(Value::as_f64), Some(0.0));
         assert!(resp.get("work").and_then(Value::as_f64).unwrap() > 0.0);
         let summaries = resp.get("summaries").unwrap().as_object().unwrap();
         assert!(summaries.keys().any(|k| k == "f"));
@@ -327,7 +320,6 @@ mod tests {
         assert_eq!(warm.get("cached").and_then(Value::as_bool), Some(true));
         assert_eq!(warm.get("tier").and_then(Value::as_str), Some("memory"));
         assert_eq!(warm.get("verdict").and_then(Value::as_str), Some("N"));
-        assert_eq!(warm.get("method_hits").and_then(Value::as_f64), Some(0.0));
         // The warm response is identical in everything but the cache fields.
         assert_eq!(cold.get("summaries"), warm.get("summaries"));
         assert_eq!(cold.get("work"), warm.get("work"));
@@ -335,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn edited_method_is_served_from_the_method_tier() {
+    fn edited_program_is_a_program_tier_miss() {
         let server = Server::new(InferOptions::default());
         let original = "void leaf(int x) { if (x > 0) { leaf(x - 1); } else { return; } } \
                         void root(int x, int y) \
@@ -343,17 +335,14 @@ mod tests {
         let edited = original.replace("y > 0", "y > 7");
         let request = |src: &str| format!("{{\"id\": 1, \"source\": \"{src}\"}}");
         let cold = parse(&server.handle_line(&request(original)));
-        assert_eq!(cold.get("method_hits").and_then(Value::as_f64), Some(0.0));
+        assert_eq!(cold.get("cached").and_then(Value::as_bool), Some(false));
         let warm = parse(&server.handle_line(&request(&edited)));
         assert_eq!(
             warm.get("cached").and_then(Value::as_bool),
             Some(false),
             "an edited program is a program-tier miss"
         );
-        assert!(
-            warm.get("method_hits").and_then(Value::as_f64).unwrap() >= 1.0,
-            "the unedited leaf is replayed from its method record"
-        );
+        assert_eq!(server.stats().cache_misses, 2);
     }
 
     #[test]

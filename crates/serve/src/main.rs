@@ -100,12 +100,11 @@ fn main() -> ExitCode {
     let stats = server.stats();
     let _ = writeln!(
         io::stderr(),
-        "tnt-serve: {} requests ({} dedup, {} memory, {} store hits; {} method hits; {} store writes; {} computed), {} work units",
+        "tnt-serve: {} requests ({} dedup, {} memory, {} store hits; {} store writes; {} computed), {} work units",
         stats.programs,
         stats.dedup_hits,
         stats.memory_hits,
         stats.store_hits,
-        stats.method_hits,
         stats.store_writes,
         stats.cache_misses,
         stats.work

@@ -20,8 +20,7 @@
 use std::collections::BTreeMap;
 use tnt_infer::solve::SolveStats;
 use tnt_infer::{
-    AnalysisResult, CaseOutcome, CaseSnapshot, CaseStatus, EventRecord, MethodRecord,
-    MethodSummary, Precondition, PreconditionKind, RootRecord, SummaryCase,
+    AnalysisResult, CaseStatus, MethodSummary, Precondition, PreconditionKind, SummaryCase,
 };
 use tnt_logic::{Constraint, Formula, RelOp};
 use tnt_solver::{Lin, MeasureItem, Rational};
@@ -208,52 +207,6 @@ pub fn encode_result(result: &AnalysisResult) -> Vec<u8> {
     out
 }
 
-/// Encodes a method-tier [`MethodRecord`] into the store's `MR` payload form.
-pub fn encode_method_record(record: &MethodRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    put_u32(&mut out, record.methods.len() as u32);
-    for method in &record.methods {
-        put_str(&mut out, method);
-    }
-    put_u32(&mut out, record.roots.len() as u32);
-    for root in &record.roots {
-        put_str(&mut out, &root.root);
-        put_u32(&mut out, root.cases.len() as u32);
-        for case in &root.cases {
-            put_formula(&mut out, &case.guard);
-            put_u8(&mut out, case.base as u8);
-        }
-    }
-    put_u32(&mut out, record.events.len() as u32);
-    for event in &record.events {
-        put_u32(&mut out, event.members.len() as u32);
-        for (root, index) in &event.members {
-            put_str(&mut out, root);
-            put_u64(&mut out, *index as u64);
-        }
-        put_u32(&mut out, event.outcomes.len() as u32);
-        for (root, index, outcome) in &event.outcomes {
-            put_str(&mut out, root);
-            put_u64(&mut out, *index as u64);
-            match outcome {
-                CaseOutcome::Term(measures) => {
-                    put_u8(&mut out, 0);
-                    put_u32(&mut out, measures.len() as u32);
-                    for m in measures {
-                        put_measure(&mut out, m);
-                    }
-                }
-                CaseOutcome::Loop => put_u8(&mut out, 1),
-            }
-        }
-        put_u64(&mut out, event.work);
-        put_u64(&mut out, event.pivots);
-        put_u64(&mut out, event.ranking_attempts as u64);
-        put_u64(&mut out, event.nonterm_attempts as u64);
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
@@ -426,59 +379,6 @@ impl<'a> Reader<'a> {
         Ok(SummaryCase { guard, status })
     }
 
-    fn case_outcome(&mut self) -> Result<CaseOutcome, DecodeError> {
-        Ok(match self.u8()? {
-            0 => {
-                let n = self.count(1)?;
-                let mut measures = Vec::with_capacity(n);
-                for _ in 0..n {
-                    measures.push(self.measure()?);
-                }
-                CaseOutcome::Term(measures)
-            }
-            1 => CaseOutcome::Loop,
-            other => return Err(format!("invalid case-outcome tag {other}")),
-        })
-    }
-
-    fn root_record(&mut self) -> Result<RootRecord, DecodeError> {
-        let root = self.str()?;
-        let case_count = self.count(2)?;
-        let mut cases = Vec::with_capacity(case_count);
-        for _ in 0..case_count {
-            let guard = self.formula(0)?;
-            let base = self.bool()?;
-            cases.push(CaseSnapshot { guard, base });
-        }
-        Ok(RootRecord { root, cases })
-    }
-
-    fn event_record(&mut self) -> Result<EventRecord, DecodeError> {
-        let member_count = self.count(12)?;
-        let mut members = Vec::with_capacity(member_count);
-        for _ in 0..member_count {
-            let root = self.str()?;
-            let index = self.u64()? as usize;
-            members.push((root, index));
-        }
-        let outcome_count = self.count(13)?;
-        let mut outcomes = Vec::with_capacity(outcome_count);
-        for _ in 0..outcome_count {
-            let root = self.str()?;
-            let index = self.u64()? as usize;
-            let outcome = self.case_outcome()?;
-            outcomes.push((root, index, outcome));
-        }
-        Ok(EventRecord {
-            members,
-            outcomes,
-            work: self.u64()?,
-            pivots: self.u64()?,
-            ranking_attempts: self.u64()? as usize,
-            nonterm_attempts: self.u64()? as usize,
-        })
-    }
-
     fn summary(&mut self) -> Result<MethodSummary, DecodeError> {
         let method = self.str()?;
         let scenario_index = self.u64()? as usize;
@@ -555,42 +455,6 @@ pub fn decode_result(bytes: &[u8]) -> Result<AnalysisResult, DecodeError> {
         validated,
         poisoned,
         elapsed,
-    })
-}
-
-/// Decodes a method-tier payload produced by [`encode_method_record`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] describing the first malformed byte; never
-/// panics, whatever the input.
-pub fn decode_method_record(bytes: &[u8]) -> Result<MethodRecord, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let method_count = r.count(4)?;
-    let mut methods = Vec::with_capacity(method_count);
-    for _ in 0..method_count {
-        methods.push(r.str()?);
-    }
-    let root_count = r.count(8)?;
-    let mut roots = Vec::with_capacity(root_count);
-    for _ in 0..root_count {
-        roots.push(r.root_record()?);
-    }
-    let event_count = r.count(40)?;
-    let mut events = Vec::with_capacity(event_count);
-    for _ in 0..event_count {
-        events.push(r.event_record()?);
-    }
-    if r.pos != r.bytes.len() {
-        return Err(format!(
-            "payload has {} trailing bytes after a complete method record",
-            r.bytes.len() - r.pos
-        ));
-    }
-    Ok(MethodRecord {
-        methods,
-        roots,
-        events,
     })
 }
 
@@ -726,71 +590,5 @@ mod tests {
     #[test]
     fn empty_payload_is_an_error() {
         assert!(decode_result(&[]).is_err());
-    }
-
-    /// A method record exercising both outcome shapes, a multi-member event,
-    /// and a multi-case root partition.
-    fn rich_method_record() -> MethodRecord {
-        let x = || Lin::var("x");
-        MethodRecord {
-            methods: vec!["even".to_string(), "odd".to_string()],
-            roots: vec![RootRecord {
-                root: "Upr_even#0".to_string(),
-                cases: vec![
-                    CaseSnapshot {
-                        guard: Formula::Atom(Constraint::ge(x(), Lin::zero())),
-                        base: true,
-                    },
-                    CaseSnapshot {
-                        guard: Formula::Not(Box::new(Formula::True)),
-                        base: false,
-                    },
-                ],
-            }],
-            events: vec![
-                EventRecord {
-                    members: vec![("Upr_even#0".to_string(), 1), ("Upr_odd#0".to_string(), 0)],
-                    outcomes: vec![
-                        (
-                            "Upr_even#0".to_string(),
-                            1,
-                            CaseOutcome::Term(vec![MeasureItem::Affine(x())]),
-                        ),
-                        ("Upr_odd#0".to_string(), 0, CaseOutcome::Loop),
-                    ],
-                    work: 1234,
-                    pivots: 567,
-                    ranking_attempts: 4,
-                    nonterm_attempts: 2,
-                },
-                EventRecord {
-                    members: vec![("Upr_even#0".to_string(), 0)],
-                    outcomes: vec![("Upr_even#0".to_string(), 0, CaseOutcome::Term(vec![]))],
-                    work: 0,
-                    pivots: 0,
-                    ranking_attempts: 0,
-                    nonterm_attempts: 0,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn method_record_round_trip_is_structural_identity() {
-        let original = rich_method_record();
-        let bytes = encode_method_record(&original);
-        let decoded = decode_method_record(&bytes).expect("decodes");
-        assert_eq!(decoded, original);
-    }
-
-    #[test]
-    fn method_record_truncations_error_never_panic() {
-        let bytes = encode_method_record(&rich_method_record());
-        for len in 0..bytes.len() {
-            assert!(
-                decode_method_record(&bytes[..len]).is_err(),
-                "a {len}-byte prefix must fail to decode"
-            );
-        }
     }
 }

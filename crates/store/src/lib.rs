@@ -10,10 +10,15 @@
 //! single log, `summaries.tnt`:
 //!
 //! ```text
-//! header   "TNTSUM01"                                  (8 bytes)
+//! header   "TNTSUM03"                                  (8 bytes; "TNTSUM02" also read)
 //! record   "TR" ++ len:u32le ++ payload ++ fnv1a64(payload):u64le
 //! payload  key:16B ++ fingerprint_hash:u64le ++ encoded AnalysisResult
 //! ```
+//!
+//! Logs written by earlier versions may also hold `"MR"` frames (same framing,
+//! a per-method record tier that no longer exists). The scanner checks their
+//! framing and checksum like any record, then skips them: they are never
+//! indexed, decoded or served, and appends continue after them.
 //!
 //! ## Crash safety
 //!
@@ -45,28 +50,26 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use tnt_infer::{AnalysisResult, MethodKey, MethodRecord, ProgramKey, SummaryBackend};
+use tnt_infer::{AnalysisResult, ProgramKey, SummaryBackend};
 
 /// The store file inside the store directory.
 pub const STORE_FILE: &str = "summaries.tnt";
 
-/// File magic: format name + version. Bump on any layout change.
-/// (02: `SolveStats` gained the orbit-enrichment attempt/work counters.
-/// 03: tagged `MR` method-tier records alongside `TR` program records.)
+/// File magic: format name + version, written on a fresh store. Bump on any
+/// layout change. (02: `SolveStats` gained the orbit-enrichment attempt/work
+/// counters. 03: logs may hold `MR` frames, which are skipped on read.)
 pub const HEADER: &[u8; 8] = b"TNTSUM03";
 
-/// The previous layout version, still accepted on open: a 02 log contains
-/// only `TR` records, which 03 decodes unchanged. A writable open rewrites
-/// the header in place to 03 so new `MR` appends are correctly labelled.
+/// The previous layout version, still opened as it is: a 02 log holds only
+/// `TR` records, which decode unchanged. A header is never rewritten.
 const HEADER_V2: &[u8; 8] = b"TNTSUM02";
 
-/// Per-record frame magic for program-tier records, a cheap framing sanity
-/// check when skipping a checksum-bad record.
+/// Per-record frame magic for program records, a cheap framing sanity check
+/// when skipping a checksum-bad record.
 const RECORD_MAGIC: &[u8; 2] = b"TR";
 
-/// Per-record frame magic for method-tier records (see
-/// [`tnt_infer::MethodRecord`]); same frame layout as `TR`, the payload is
-/// `method_key:16B ++ fingerprint_hash:u64le ++ encoded MethodRecord`.
+/// Frame magic of the per-method records earlier versions appended (same
+/// framing as `TR`). Recognised only so the scanner can step over them.
 const METHOD_MAGIC: &[u8; 2] = b"MR";
 
 /// `true` when the two bytes at the start of `rest` are a known record magic.
@@ -117,8 +120,6 @@ enum ScanStop {
 
 struct ScanResult {
     records: Vec<(ProgramKey, IndexEntry)>,
-    /// Method-tier (`MR`) records, indexed separately from program records.
-    method_records: Vec<(MethodKey, IndexEntry)>,
     /// One past the last well-framed record.
     end: u64,
     stop: ScanStop,
@@ -126,10 +127,10 @@ struct ScanResult {
 }
 
 /// Scans records in `buf` (the file contents from offset `base` on) without
-/// decoding results; checksums are verified and bad records skipped.
+/// decoding results; checksums are verified and bad records skipped. Intact
+/// `MR` frames are stepped over without being indexed.
 fn scan_records(buf: &[u8], base: u64) -> ScanResult {
     let mut records = Vec::new();
-    let mut method_records = Vec::new();
     let mut diagnostics = Vec::new();
     let mut pos = 0usize;
     let stop = loop {
@@ -144,7 +145,6 @@ fn scan_records(buf: &[u8], base: u64) -> ScanResult {
         if !is_record_magic(rest) {
             break ScanStop::BadFraming(at);
         }
-        let is_method = rest.starts_with(METHOD_MAGIC);
         if rest.len() < 6 {
             break ScanStop::Truncated(at);
         }
@@ -173,24 +173,26 @@ fn scan_records(buf: &[u8], base: u64) -> ScanResult {
             pos = next;
             continue;
         }
+        if rest.starts_with(METHOD_MAGIC) {
+            pos = next;
+            continue;
+        }
         let mut key_bytes = [0u8; 16];
         key_bytes.copy_from_slice(&payload[..16]);
+        let key = ProgramKey::from_bytes(key_bytes);
         let fingerprint_hash = u64::from_le_bytes(payload[16..24].try_into().expect("8"));
-        let entry = IndexEntry {
-            fingerprint_hash,
-            payload_offset: at + 6,
-            payload_len: len as u32,
-        };
-        if is_method {
-            method_records.push((MethodKey::from_bytes(key_bytes), entry));
-        } else {
-            records.push((ProgramKey::from_bytes(key_bytes), entry));
-        }
+        records.push((
+            key,
+            IndexEntry {
+                fingerprint_hash,
+                payload_offset: at + 6,
+                payload_len: len as u32,
+            },
+        ));
         pos = next;
     };
     ScanResult {
         records,
-        method_records,
         end: base + pos as u64,
         stop,
         diagnostics,
@@ -200,8 +202,6 @@ fn scan_records(buf: &[u8], base: u64) -> ScanResult {
 struct Inner {
     file: File,
     index: HashMap<ProgramKey, IndexEntry>,
-    /// Method-tier (`MR`) records, keyed by composite [`MethodKey`].
-    method_index: HashMap<MethodKey, IndexEntry>,
     /// One past the last well-framed record — where the writer appends and the
     /// reader's [`SummaryStore::refresh`] resumes scanning.
     end: u64,
@@ -209,56 +209,36 @@ struct Inner {
 }
 
 impl Inner {
-    /// Reads and re-verifies one indexed frame's payload.
-    fn read_frame(&mut self, entry: IndexEntry) -> Result<Vec<u8>, String> {
+    /// Reads and re-verifies one indexed payload. Any failure de-indexes the
+    /// record (so the cost is paid once) and returns `None`.
+    fn read_payload(&mut self, key: &ProgramKey) -> Option<Vec<u8>> {
+        let entry = *self.index.get(key)?;
         let total = entry.payload_len as usize + 8;
         let mut frame = vec![0u8; total];
-        self.file
+        if let Err(err) = self
+            .file
             .seek(SeekFrom::Start(entry.payload_offset))
             .and_then(|_| self.file.read_exact(&mut frame))
-            .map_err(|err| {
-                format!(
-                    "store: read of record at offset {} failed ({err}); the summary will be recomputed",
-                    entry.payload_offset
-                )
-            })?;
+        {
+            self.diagnostics.push(format!(
+                "store: read of record at offset {} failed ({err}); the summary will be recomputed",
+                entry.payload_offset
+            ));
+            self.index.remove(key);
+            return None;
+        }
         let payload = &frame[..entry.payload_len as usize];
         let stored_sum =
             u64::from_le_bytes(frame[entry.payload_len as usize..].try_into().expect("8"));
         if fnv1a(payload) != stored_sum {
-            return Err(format!(
+            self.diagnostics.push(format!(
                 "store: record at offset {} failed its checksum on re-read; the summary will be recomputed",
                 entry.payload_offset
             ));
+            self.index.remove(key);
+            return None;
         }
-        Ok(payload.to_vec())
-    }
-
-    /// Reads and re-verifies one indexed program-tier payload. Any failure
-    /// de-indexes the record (so the cost is paid once) and returns `None`.
-    fn read_payload(&mut self, key: &ProgramKey) -> Option<Vec<u8>> {
-        let entry = *self.index.get(key)?;
-        match self.read_frame(entry) {
-            Ok(payload) => Some(payload),
-            Err(diagnostic) => {
-                self.diagnostics.push(diagnostic);
-                self.index.remove(key);
-                None
-            }
-        }
-    }
-
-    /// The method-tier counterpart of [`Inner::read_payload`].
-    fn read_method_payload(&mut self, key: &MethodKey) -> Option<Vec<u8>> {
-        let entry = *self.method_index.get(key)?;
-        match self.read_frame(entry) {
-            Ok(payload) => Some(payload),
-            Err(diagnostic) => {
-                self.diagnostics.push(diagnostic);
-                self.method_index.remove(key);
-                None
-            }
-        }
+        Some(payload.to_vec())
     }
 }
 
@@ -337,16 +317,7 @@ impl SummaryStore {
         } else {
             file.seek(SeekFrom::Start(0))?;
             file.read_exact(&mut header)?;
-            if &header == HEADER_V2 {
-                // A 02 log is a strict subset of 03 (only `TR` records). A
-                // writer upgrades the header in place so its `MR` appends are
-                // correctly labelled; a reader just proceeds.
-                if writable {
-                    file.seek(SeekFrom::Start(0))?;
-                    file.write_all(HEADER)?;
-                    file.flush()?;
-                }
-            } else if &header != HEADER {
+            if &header != HEADER && &header != HEADER_V2 {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
@@ -390,17 +361,12 @@ impl SummaryStore {
             // deterministic.
             index.entry(key).or_insert(entry);
         }
-        let mut method_index = HashMap::with_capacity(scan.method_records.len());
-        for (key, entry) in scan.method_records {
-            method_index.entry(key).or_insert(entry);
-        }
         Ok(SummaryStore {
             path,
             writable,
             inner: Mutex::new(Inner {
                 file,
                 index,
-                method_index,
                 end: scan.end,
                 diagnostics,
             }),
@@ -417,9 +383,11 @@ impl SummaryStore {
         self.inner.lock().unwrap().index.len()
     }
 
-    /// Number of distinct method-tier keys currently served.
+    /// Always `0`: the store no longer indexes per-method records. Kept only
+    /// because the benchmark package still reads it; the next change to the
+    /// benchmark removes it.
     pub fn method_entries(&self) -> usize {
-        self.inner.lock().unwrap().method_index.len()
+        0
     }
 
     /// Drains accumulated diagnostics (corrupt records skipped, torn tails
@@ -448,12 +416,9 @@ impl SummaryStore {
             return Ok(0);
         }
         let scan = scan_records(&buf, base);
-        let found = scan.records.len() + scan.method_records.len();
+        let found = scan.records.len();
         for (key, entry) in scan.records {
             inner.index.entry(key).or_insert(entry);
-        }
-        for (key, entry) in scan.method_records {
-            inner.method_index.entry(key).or_insert(entry);
         }
         inner.end = scan.end;
         inner.diagnostics.extend(scan.diagnostics);
@@ -463,53 +428,6 @@ impl SummaryStore {
             ));
         }
         Ok(found)
-    }
-
-    /// Appends one framed record (`magic ++ len ++ key ++ fp_hash ++ encoded
-    /// ++ checksum`) at the tracked record boundary. Returns the new payload's
-    /// index entry, or `None` when the write failed (with a diagnostic).
-    fn append_frame(
-        &self,
-        inner: &mut Inner,
-        magic: &[u8; 2],
-        key_bytes: [u8; 16],
-        fingerprint_hash: u64,
-        encoded: &[u8],
-    ) -> Option<IndexEntry> {
-        let mut payload = Vec::with_capacity(PAYLOAD_PREFIX + encoded.len());
-        payload.extend_from_slice(&key_bytes);
-        payload.extend_from_slice(&fingerprint_hash.to_le_bytes());
-        payload.extend_from_slice(encoded);
-
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-        frame.extend_from_slice(magic);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-
-        // Append at the tracked record boundary, not the file cursor (loads
-        // seek the same handle). If the write tears (IO error, crash), the
-        // checksum brands the tail corrupt and the next writer-open truncates
-        // it — the index is only updated after a complete, flushed frame.
-        let end = inner.end;
-        let write = inner
-            .file
-            .seek(SeekFrom::Start(end))
-            .and_then(|_| inner.file.write_all(&frame))
-            .and_then(|_| inner.file.flush());
-        if let Err(err) = write {
-            inner.diagnostics.push(format!(
-                "store: append to {} failed ({err}); the result was not persisted",
-                self.path.display()
-            ));
-            return None;
-        }
-        inner.end = end + frame.len() as u64;
-        Some(IndexEntry {
-            fingerprint_hash,
-            payload_offset: end + 6,
-            payload_len: payload.len() as u32,
-        })
     }
 }
 
@@ -546,68 +464,46 @@ impl SummaryBackend for SummaryStore {
         if inner.index.contains_key(key) {
             return false;
         }
+
         let encoded = codec::encode_result(result);
-        match self.append_frame(
-            &mut inner,
-            RECORD_MAGIC,
-            key.to_bytes(),
-            fingerprint_hash,
-            &encoded,
-        ) {
-            Some(entry) => {
-                inner.index.insert(*key, entry);
-                true
-            }
-            None => false,
-        }
-    }
+        let mut payload = Vec::with_capacity(PAYLOAD_PREFIX + encoded.len());
+        payload.extend_from_slice(&key.to_bytes());
+        payload.extend_from_slice(&fingerprint_hash.to_le_bytes());
+        payload.extend_from_slice(&encoded);
 
-    fn load_method(&self, key: &MethodKey, fingerprint_hash: u64) -> Option<MethodRecord> {
-        let mut inner = self.inner.lock().unwrap();
-        let entry = *inner.method_index.get(key)?;
-        if entry.fingerprint_hash != fingerprint_hash {
+        let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+        frame.extend_from_slice(RECORD_MAGIC);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+
+        // Append at the tracked record boundary, not the file cursor (loads
+        // seek the same handle). If the write tears (IO error, crash), the
+        // checksum brands the tail corrupt and the next writer-open truncates
+        // it — the index is only updated after a complete, flushed frame.
+        let end = inner.end;
+        let write = inner
+            .file
+            .seek(SeekFrom::Start(end))
+            .and_then(|_| inner.file.write_all(&frame))
+            .and_then(|_| inner.file.flush());
+        if let Err(err) = write {
             inner.diagnostics.push(format!(
-                "store: method record for key {key:?} carries options fingerprint {:#018x}, expected {fingerprint_hash:#018x}; treating as a miss",
-                entry.fingerprint_hash
+                "store: append to {} failed ({err}); the result was not persisted",
+                self.path.display()
             ));
-            return None;
-        }
-        let payload = inner.read_method_payload(key)?;
-        match codec::decode_method_record(&payload[PAYLOAD_PREFIX..]) {
-            Ok(record) => Some(record),
-            Err(err) => {
-                inner.diagnostics.push(format!(
-                    "store: method record at offset {} is undecodable ({err}); the methods will be re-proven",
-                    entry.payload_offset
-                ));
-                inner.method_index.remove(key);
-                None
-            }
-        }
-    }
-
-    fn store_method(&self, key: &MethodKey, fingerprint_hash: u64, record: &MethodRecord) -> bool {
-        if !self.writable {
             return false;
         }
-        let mut inner = self.inner.lock().unwrap();
-        if inner.method_index.contains_key(key) {
-            return false;
-        }
-        let encoded = codec::encode_method_record(record);
-        match self.append_frame(
-            &mut inner,
-            METHOD_MAGIC,
-            key.to_bytes(),
-            fingerprint_hash,
-            &encoded,
-        ) {
-            Some(entry) => {
-                inner.method_index.insert(*key, entry);
-                true
-            }
-            None => false,
-        }
+        inner.index.insert(
+            *key,
+            IndexEntry {
+                fingerprint_hash,
+                payload_offset: end + 6,
+                payload_len: payload.len() as u32,
+            },
+        );
+        inner.end = end + frame.len() as u64;
+        true
     }
 
     fn take_diagnostics(&self) -> Vec<String> {
@@ -789,107 +685,103 @@ mod tests {
         assert_eq!(reader.refresh().expect("refresh"), 0);
     }
 
-    fn sample_method_record() -> MethodRecord {
-        use tnt_infer::{CaseOutcome, CaseSnapshot, EventRecord, RootRecord};
-        MethodRecord {
-            methods: vec!["leaf".to_string()],
-            roots: vec![RootRecord {
-                root: "Upr_leaf#0".to_string(),
-                cases: vec![
-                    CaseSnapshot {
-                        guard: tnt_logic::Formula::True,
-                        base: true,
-                    },
-                    CaseSnapshot {
-                        guard: tnt_logic::Formula::False,
-                        base: false,
-                    },
-                ],
-            }],
-            events: vec![EventRecord {
-                members: vec![("Upr_leaf#0".to_string(), 1)],
-                outcomes: vec![("Upr_leaf#0".to_string(), 1, CaseOutcome::Loop)],
-                work: 42,
-                pivots: 17,
-                ranking_attempts: 3,
-                nonterm_attempts: 1,
-            }],
-        }
+    /// One raw log frame: `magic ++ len ++ payload ++ checksum`.
+    fn raw_frame(magic: &[u8; 2], payload: &[u8]) -> Vec<u8> {
+        let mut frame = magic.to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        frame
     }
 
-    fn method_key(n: u64) -> MethodKey {
-        let mut bytes = [0u8; 16];
-        bytes[..8].copy_from_slice(&n.to_le_bytes());
-        bytes[8..].copy_from_slice(&(!n).to_le_bytes());
-        MethodKey::from_bytes(bytes)
+    /// A raw `TR` payload: key, fingerprint hash, encoded result.
+    fn raw_program_payload(key: &ProgramKey, result: &AnalysisResult) -> Vec<u8> {
+        let mut payload = key.to_bytes().to_vec();
+        payload.extend_from_slice(&7u64.to_le_bytes());
+        payload.extend_from_slice(&codec::encode_result(result));
+        payload
     }
 
     #[test]
-    fn method_records_round_trip_and_interleave_with_program_records() {
+    fn method_frames_of_older_logs_are_skipped_and_appends_follow_them() {
+        // A log as earlier versions wrote it: a 03 header with `MR` frames
+        // (method key, fingerprint hash, opaque record) between the `TR` ones.
         let dir = TempDir::new();
-        let store = SummaryStore::open(dir.path()).expect("open");
-        assert!(store.store(&key(1), 7, &sample_result(100, false)));
-        let record = sample_method_record();
-        assert!(store.store_method(&method_key(9), 7, &record));
-        // Re-storing an existing method key is a no-op.
-        assert!(!store.store_method(&method_key(9), 7, &record));
-        assert!(store.store(&key(2), 7, &sample_result(200, false)));
-        assert_eq!((store.entries(), store.method_entries()), (2, 1));
-        assert_eq!(store.load_method(&method_key(9), 7), Some(record.clone()));
-        // Fingerprint mismatch is a miss with a diagnostic, never a wrong hit.
-        assert!(store.load_method(&method_key(9), 8).is_none());
-        assert!(!store.diagnostics().is_empty());
-        drop(store);
+        let results = [sample_result(100, false), sample_result(200, true)];
+        let mut method_payload = [0x5Au8; 16].to_vec();
+        method_payload.extend_from_slice(&7u64.to_le_bytes());
+        method_payload.extend_from_slice(&[1, 2, 3, 4, 5]);
+        let mut log = HEADER.to_vec();
+        log.extend(raw_frame(METHOD_MAGIC, &method_payload));
+        log.extend(raw_frame(
+            RECORD_MAGIC,
+            &raw_program_payload(&key(1), &results[0]),
+        ));
+        log.extend(raw_frame(METHOD_MAGIC, &method_payload));
+        log.extend(raw_frame(
+            RECORD_MAGIC,
+            &raw_program_payload(&key(2), &results[1]),
+        ));
+        log.extend(raw_frame(METHOD_MAGIC, &method_payload));
+        let path = dir.path().join(STORE_FILE);
+        std::fs::write(&path, &log).unwrap();
 
-        // Both record kinds survive a reopen, interleaved in one log.
-        let reread = SummaryStore::open_read_only(dir.path()).expect("reopen");
-        assert_eq!((reread.entries(), reread.method_entries()), (2, 1));
-        assert_eq!(reread.load_method(&method_key(9), 7), Some(record));
-        assert!(reread.load(&key(2), 7).is_some());
-        // A read-only handle refuses method writes too.
-        assert!(!reread.store_method(&method_key(10), 7, &sample_method_record()));
+        let serves_both = |store: &SummaryStore| {
+            assert_eq!(store.entries(), 2);
+            for (n, result) in (1..).zip(&results) {
+                let hit = store.load(&key(n), 7).expect("a TR record is served");
+                assert_eq!(codec::encode_result(&hit), codec::encode_result(result));
+            }
+            assert!(store.diagnostics().is_empty(), "MR frames are not errors");
+        };
+        serves_both(&SummaryStore::open_read_only(dir.path()).expect("reader"));
+        let writer = SummaryStore::open(dir.path()).expect("writer");
+        serves_both(&writer);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            log,
+            "opening rewrites nothing"
+        );
+
+        // A new append lands after the last `MR` frame, and only as `TR`.
+        assert!(writer.store(&key(3), 7, &sample_result(300, false)));
+        drop(writer);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[..log.len()], &log[..]);
+        assert_eq!(&bytes[log.len()..log.len() + 2], RECORD_MAGIC);
+        let reader = SummaryStore::open_read_only(dir.path()).expect("reopen");
+        assert_eq!(reader.entries(), 3);
+        assert_eq!(reader.load(&key(3), 7).unwrap().stats.work, 300);
+        assert!(reader.diagnostics().is_empty());
     }
 
     #[test]
-    fn v2_store_is_upgraded_in_place_by_a_writer() {
+    fn v2_store_opens_and_serves_its_records_unchanged() {
         let dir = TempDir::new();
         let store = SummaryStore::open(dir.path()).expect("open");
         assert!(store.store(&key(1), 7, &sample_result(100, false)));
         let path = store.path().to_path_buf();
         drop(store);
 
-        // Regress the header to the previous version: the log itself (only
-        // `TR` records) is identical between 02 and 03.
+        // Regress the header to the previous version: a 02 log holds the same
+        // `TR` records.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[..8].copy_from_slice(HEADER_V2);
         std::fs::write(&path, &bytes).unwrap();
 
-        // A reader accepts the old header as-is and never rewrites it.
         let reader = SummaryStore::open_read_only(dir.path()).expect("reader");
         assert_eq!(reader.load(&key(1), 7).unwrap().stats.work, 100);
         drop(reader);
-        assert_eq!(&std::fs::read(&path).unwrap()[..8], HEADER_V2);
-
-        // A writer upgrades the header in place and keeps every record.
+        // A writer serves and appends, and keeps the old header as it is.
         let writer = SummaryStore::open(dir.path()).expect("writer");
         assert_eq!(writer.load(&key(1), 7).unwrap().stats.work, 100);
-        assert!(writer.store_method(&method_key(9), 7, &sample_method_record()));
+        assert!(writer.store(&key(2), 7, &sample_result(200, false)));
+        assert!(writer.diagnostics().is_empty());
         drop(writer);
-        assert_eq!(&std::fs::read(&path).unwrap()[..8], HEADER);
-
+        let after = std::fs::read(&path).unwrap();
+        assert_eq!(&after[..bytes.len()], &bytes[..]);
         let again = SummaryStore::open_read_only(dir.path()).expect("again");
-        assert_eq!((again.entries(), again.method_entries()), (1, 1));
-    }
-
-    #[test]
-    fn reader_refresh_sees_concurrent_method_appends() {
-        let dir = TempDir::new();
-        let writer = SummaryStore::open(dir.path()).expect("writer");
-        let reader = SummaryStore::open_read_only(dir.path()).expect("reader");
-        assert!(writer.store_method(&method_key(9), 7, &sample_method_record()));
-        assert!(reader.load_method(&method_key(9), 7).is_none());
-        assert_eq!(reader.refresh().expect("refresh"), 1);
-        assert!(reader.load_method(&method_key(9), 7).is_some());
+        assert_eq!(again.entries(), 2);
     }
 
     #[test]
