@@ -97,6 +97,11 @@ impl Constraint {
         &self.expr
     }
 
+    /// Consumes the constraint and returns its canonical expression.
+    pub fn into_expr(self) -> Lin {
+        self.expr
+    }
+
     /// The canonical operator.
     pub fn op(&self) -> RelOp {
         self.op

@@ -14,7 +14,7 @@
 //! front-end the relaxation is exact; the known residual incompleteness only ever makes
 //! the inference engine *more* conservative (see `DESIGN.md` §4 and §7).
 
-use crate::constraint::{Constraint, RelOp};
+use crate::constraint::RelOp;
 use crate::dnf::{self, Cube};
 use crate::formula::Formula;
 use tnt_solver::lp::{Cmp, LpProblem, VarKind};
@@ -22,32 +22,29 @@ use tnt_solver::Lin;
 
 /// Checks satisfiability of a single cube (conjunction of constraints).
 pub fn cube_sat(cube: &Cube) -> bool {
-    let mut ges: Vec<Lin> = Vec::new();
-    let mut eqs: Vec<Lin> = Vec::new();
-    let mut pending_ne: Vec<Constraint> = Vec::new();
-
+    let mut normalised_cube: Cube = Vec::with_capacity(cube.len());
     for constraint in cube {
         let Some(normalised) = constraint.normalise() else {
             return false; // e.g. 2x = 1
         };
-        if let Some(truth) = normalised.const_eval() {
-            if truth {
-                continue;
-            }
-            return false;
-        }
-        match normalised.op() {
-            RelOp::Ge => ges.push(normalised.expr().clone()),
-            RelOp::Eq => eqs.push(normalised.expr().clone()),
-            RelOp::Ne => pending_ne.push(normalised),
+        match normalised.const_eval() {
+            Some(true) => {}
+            Some(false) => return false,
+            None => normalised_cube.push(normalised),
         }
     }
 
-    if !pending_ne.is_empty() {
+    if let Some(first) = normalised_cube.iter().find(|c| c.op() == RelOp::Ne) {
         // Defensive: cubes produced by `to_dnf` have no ≠ atoms, but direct callers may
-        // hand us one. Split the first and recurse on both halves.
-        let first = pending_ne[0].clone();
-        let rest: Cube = cube.iter().filter(|c| **c != first).cloned().collect();
+        // hand us one. Split the first and recurse on both halves, over the normalised
+        // atoms: normalisation can rewrite a ≠ atom (`x/2 ≠ 1` becomes `x - 2 ≠ 0`),
+        // so only the normalised cube is sure to lose the atom being split.
+        let first = first.clone();
+        let rest: Cube = normalised_cube
+            .iter()
+            .filter(|c| **c != first)
+            .cloned()
+            .collect();
         let [a, b] = first.split_ne().expect("op is Ne");
         let mut with_a = rest.clone();
         with_a.push(a);
@@ -56,11 +53,19 @@ pub fn cube_sat(cube: &Cube) -> bool {
         return cube_sat(&with_a) || cube_sat(&with_b);
     }
 
+    let mut ges: Vec<Lin> = Vec::new();
+    let mut eqs: Vec<Lin> = Vec::new();
+    for normalised in normalised_cube {
+        match normalised.op() {
+            RelOp::Ge => ges.push(normalised.into_expr()),
+            RelOp::Eq => eqs.push(normalised.into_expr()),
+            RelOp::Ne => unreachable!("≠ atoms were split above"),
+        }
+    }
+
     let mut lp = LpProblem::new();
     for expr in ges.iter().chain(eqs.iter()) {
-        for v in expr.vars() {
-            lp.declare(v, VarKind::Free);
-        }
+        lp.declare_vars(expr, VarKind::Free);
     }
     for expr in ges {
         lp.constrain(expr, Cmp::Ge, Lin::zero());
@@ -90,6 +95,7 @@ pub fn is_unsat(formula: &Formula) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::Constraint;
     use crate::testgen;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -182,6 +188,20 @@ mod tests {
             Constraint::le(Lin::var("x"), n(5)),
         ];
         assert!(!cube_sat(&cube));
+    }
+
+    #[test]
+    fn cube_sat_splits_normalised_ne() {
+        // `x/2 ≠ 1` normalises to `x - 2 ≠ 0`; splitting must consume the normalised
+        // atom, or every recursion would split the original again.
+        let half_x = Lin::var("x").scale(Rational::new(1, 2));
+        assert!(cube_sat(&vec![Constraint::ne(half_x.clone(), n(1))]));
+        let pinned = vec![
+            Constraint::ne(half_x, n(1)),
+            Constraint::ge(Lin::var("x"), n(2)),
+            Constraint::le(Lin::var("x"), n(2)),
+        ];
+        assert!(!cube_sat(&pinned));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::lp::{Cmp, LpProblem, VarKind};
 use crate::rational::Rational;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// An affine expression over *program* variables whose coefficients are themselves
 /// affine expressions over *template parameters* (the unknowns of the synthesis).
@@ -32,8 +33,11 @@ use std::collections::BTreeSet;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TemplateLin {
-    /// Coefficient (an affine expression over parameters) of each program variable.
-    coeffs: BTreeMap<String, Lin>,
+    /// Coefficient (an affine expression over parameters) of each program variable,
+    /// sorted by variable name like the terms of a [`Lin`]. A coefficient that
+    /// cancels to zero keeps its entry: its variable still gets a matching
+    /// constraint in [`encode_implication`].
+    coeffs: Vec<(Arc<str>, Lin)>,
     /// Constant part (an affine expression over parameters).
     constant: Lin,
 }
@@ -46,12 +50,13 @@ impl TemplateLin {
 
     /// Lifts a concrete affine expression (no parameters) into a template expression.
     pub fn from_concrete(lin: &Lin) -> Self {
-        let mut out = TemplateLin::zero();
-        for (v, c) in lin.terms() {
-            out.coeffs.insert(v.to_string(), Lin::constant(c));
+        TemplateLin {
+            coeffs: lin
+                .shared_terms()
+                .map(|(v, c)| (v.clone(), Lin::constant(c)))
+                .collect(),
+            constant: Lin::constant(lin.constant_term()),
         }
-        out.constant = Lin::constant(lin.constant_term());
-        out
     }
 
     /// Creates the canonical affine template `p_const + Σᵢ p_vᵢ · vᵢ` over the given
@@ -60,31 +65,38 @@ impl TemplateLin {
         let mut out = TemplateLin::zero();
         out.constant = Lin::var(format!("{prefix}$const"));
         for v in program_vars {
-            out.coeffs
-                .insert(v.clone(), Lin::var(format!("{prefix}${v}")));
+            out.set_coeff(v.as_str(), Lin::var(format!("{prefix}${v}")));
         }
         out
     }
 
-    /// The parameter names used by this template expression.
-    pub fn parameters(&self) -> BTreeSet<String> {
-        let mut params = BTreeSet::new();
-        for lin in self.coeffs.values().chain(std::iter::once(&self.constant)) {
-            for v in lin.vars() {
-                params.insert(v.to_string());
+    fn position(&self, var: &str) -> Result<usize, usize> {
+        self.coeffs.binary_search_by(|(v, _)| (**v).cmp(var))
+    }
+
+    /// The coefficient entry of `var`, created as zero (named by `name()`) if absent.
+    fn entry(&mut self, var: &str, name: impl FnOnce() -> Arc<str>) -> &mut Lin {
+        let i = match self.position(var) {
+            Ok(i) => i,
+            Err(i) => {
+                self.coeffs.insert(i, (name(), Lin::zero()));
+                i
             }
-        }
-        params
+        };
+        &mut self.coeffs[i].1
     }
 
     /// The program variables mentioned by this template expression.
     pub fn program_vars(&self) -> impl Iterator<Item = &str> + '_ {
-        self.coeffs.keys().map(|s| s.as_str())
+        self.coeffs.iter().map(|(v, _)| &**v)
     }
 
     /// The (parameter-affine) coefficient of a program variable.
     pub fn coeff(&self, var: &str) -> Lin {
-        self.coeffs.get(var).cloned().unwrap_or_else(Lin::zero)
+        match self.position(var) {
+            Ok(i) => self.coeffs[i].1.clone(),
+            Err(_) => Lin::zero(),
+        }
     }
 
     /// The (parameter-affine) constant part.
@@ -94,7 +106,8 @@ impl TemplateLin {
 
     /// Sets the coefficient of a program variable.
     pub fn set_coeff(&mut self, var: impl Into<String>, coeff: Lin) {
-        self.coeffs.insert(var.into(), coeff);
+        let var = var.into();
+        *self.entry(&var, || Arc::from(var.as_str())) = coeff;
     }
 
     /// Sets the constant part.
@@ -106,7 +119,7 @@ impl TemplateLin {
     pub fn add(&self, other: &TemplateLin) -> TemplateLin {
         let mut out = self.clone();
         for (v, c) in &other.coeffs {
-            let existing = out.coeffs.entry(v.clone()).or_insert_with(Lin::zero);
+            let existing = out.entry(v, || v.clone());
             *existing = existing.add(c);
         }
         out.constant = out.constant.add(&other.constant);
@@ -117,7 +130,7 @@ impl TemplateLin {
     pub fn sub(&self, other: &TemplateLin) -> TemplateLin {
         let mut out = self.clone();
         for (v, c) in &other.coeffs {
-            let existing = out.coeffs.entry(v.clone()).or_insert_with(Lin::zero);
+            let existing = out.entry(v, || v.clone());
             *existing = existing.sub(c);
         }
         out.constant = out.constant.sub(&other.constant);
@@ -136,7 +149,7 @@ impl TemplateLin {
     pub fn instantiate(&self, params: &BTreeMap<String, Rational>) -> Lin {
         let mut out = Lin::constant(self.constant.eval(params));
         for (v, coeff) in &self.coeffs {
-            out.add_term(v, coeff.eval(params));
+            out.add_shared_term(v, coeff.eval(params));
         }
         out
     }
@@ -146,8 +159,10 @@ impl TemplateLin {
         let mut out = TemplateLin::zero();
         out.constant = self.constant.clone();
         for (v, c) in &self.coeffs {
-            let name = map.get(v).cloned().unwrap_or_else(|| v.clone());
-            let existing = out.coeffs.entry(name).or_insert_with(Lin::zero);
+            let existing = match map.get(&**v) {
+                Some(name) => out.entry(name, || Arc::from(name.as_str())),
+                None => out.entry(v, || v.clone()),
+            };
             *existing = existing.add(c);
         }
         out
@@ -190,47 +205,46 @@ pub fn encode_implication(
     premises: &[Ineq],
     conclusion: &TemplateLin,
 ) {
-    for p in conclusion.parameters() {
-        lp.declare(p, VarKind::Free);
+    for (_, coeff) in &conclusion.coeffs {
+        lp.declare_vars(coeff, VarKind::Free);
     }
+    lp.declare_vars(&conclusion.constant, VarKind::Free);
     // One multiplier per premise plus the affine slack λ₀.
-    let lambda0 = multipliers.fresh();
-    lp.declare(&lambda0, VarKind::NonNegative);
-    let premise_lambdas: Vec<String> = premises
+    let lambda0: Arc<str> = multipliers.fresh().into();
+    lp.declare_shared(&lambda0, VarKind::NonNegative);
+    let premise_lambdas: Vec<Arc<str>> = premises
         .iter()
         .map(|_| {
-            let name = multipliers.fresh();
-            lp.declare(&name, VarKind::NonNegative);
+            let name: Arc<str> = multipliers.fresh().into();
+            lp.declare_shared(&name, VarKind::NonNegative);
             name
         })
         .collect();
 
     // Collect every program variable mentioned on either side.
-    let mut program_vars: BTreeSet<String> =
-        conclusion.program_vars().map(|s| s.to_string()).collect();
+    let mut program_vars: BTreeSet<&str> = conclusion.program_vars().collect();
     for p in premises {
-        for v in p.expr().vars() {
-            program_vars.insert(v.to_string());
-        }
+        program_vars.extend(p.expr().vars());
     }
 
     // Coefficient matching per program variable: conclusion.coeff(v) = Σⱼ λⱼ·premiseⱼ.coeff(v).
-    for v in &program_vars {
+    for v in program_vars {
         let mut rhs = Lin::zero();
         for (premise, lambda) in premises.iter().zip(&premise_lambdas) {
             let a = premise.expr().coeff(v);
             if !a.is_zero() {
-                rhs.add_term(lambda, a);
+                rhs.add_shared_term(lambda, a);
             }
         }
         lp.constrain(conclusion.coeff(v), Cmp::Eq, rhs);
     }
     // Constant matching: conclusion.const = λ₀ + Σⱼ λⱼ·premiseⱼ.const.
-    let mut rhs = Lin::var(&lambda0);
+    let mut rhs = Lin::zero();
+    rhs.add_shared_term(&lambda0, Rational::one());
     for (premise, lambda) in premises.iter().zip(&premise_lambdas) {
         let b = premise.expr().constant_term();
         if !b.is_zero() {
-            rhs.add_term(lambda, b);
+            rhs.add_shared_term(lambda, b);
         }
     }
     lp.constrain(conclusion.constant_part().clone(), Cmp::Eq, rhs);

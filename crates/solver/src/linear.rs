@@ -3,12 +3,38 @@
 //! These are the interchange types of the solver crate: the logic front-end converts its
 //! Presburger atoms into [`Ineq`]s (all in `≥ 0` normal form) before invoking ranking
 //! synthesis or Farkas implication checks.
+//!
+//! # Representation
+//!
+//! A [`Lin`] keeps its terms in one vector of `(name, coefficient)` pairs, sorted
+//! strictly ascending by the byte order of the names and holding no zero
+//! coefficient. Names are shared `Arc<str>`s, so cloning an expression or merging
+//! two of them copies reference counts, never name bytes. Sums, differences and
+//! substitutions are sorted merges; lookups are binary searches.
+//!
+//! The name order is part of the contract, not an accident of the container:
+//! [`crate::lp::LpProblem::solve`] lowers each expression by walking its terms and
+//! relies on them coming out in column order, and the simplex checks that every
+//! lowered row is sorted. Every iteration ([`Lin::terms`], [`Lin::vars`],
+//! `Display`) therefore yields names in ascending byte order.
 
 use crate::rational::Rational;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
+
+#[cfg(test)]
+mod reference;
+
+/// A shared variable name and its (non-zero) coefficient.
+type Term = (Arc<str>, Rational);
 
 /// An affine expression `Σ cᵢ·xᵢ + k` over named variables with rational coefficients.
+///
+/// The terms are stored sorted by name with no zero coefficients (see the module
+/// docs), so two equal expressions have equal representations and `==` is
+/// structural.
 ///
 /// # Examples
 ///
@@ -20,7 +46,7 @@ use std::fmt;
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Lin {
-    coeffs: BTreeMap<String, Rational>,
+    terms: Vec<Term>,
     constant: Rational,
 }
 
@@ -33,22 +59,21 @@ impl Lin {
     /// A constant expression.
     pub fn constant(value: Rational) -> Self {
         Lin {
-            coeffs: BTreeMap::new(),
+            terms: Vec::new(),
             constant: value,
         }
     }
 
     /// The expression consisting of a single variable with coefficient one.
     pub fn var(name: impl Into<String>) -> Self {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(name.into(), Rational::one());
         Lin {
-            coeffs,
+            terms: vec![(Arc::from(name.into()), Rational::one())],
             constant: Rational::zero(),
         }
     }
 
-    /// Builds an expression from explicit terms and a constant.
+    /// Builds an expression from explicit terms and a constant. Repeated names are
+    /// summed in the order given.
     pub fn from_terms(
         terms: impl IntoIterator<Item = (String, Rational)>,
         constant: Rational,
@@ -60,24 +85,41 @@ impl Lin {
         lin
     }
 
+    fn position(&self, var: &str) -> Result<usize, usize> {
+        self.terms.binary_search_by(|(v, _)| (**v).cmp(var))
+    }
+
     /// Adds `coeff * var` to the expression in place.
     pub fn add_term(&mut self, var: &str, coeff: Rational) {
+        self.add_term_with(var, coeff, || Arc::from(var));
+    }
+
+    /// [`Lin::add_term`] with a shared name, which a new term keeps.
+    pub(crate) fn add_shared_term(&mut self, var: &Arc<str>, coeff: Rational) {
+        self.add_term_with(var, coeff, || var.clone());
+    }
+
+    fn add_term_with(&mut self, var: &str, coeff: Rational, name: impl FnOnce() -> Arc<str>) {
         if coeff.is_zero() {
             return;
         }
-        let entry = self
-            .coeffs
-            .entry(var.to_string())
-            .or_insert_with(Rational::zero);
-        *entry += coeff;
-        if entry.is_zero() {
-            self.coeffs.remove(var);
+        match self.position(var) {
+            Ok(i) => {
+                self.terms[i].1 += coeff;
+                if self.terms[i].1.is_zero() {
+                    self.terms.remove(i);
+                }
+            }
+            Err(i) => self.terms.insert(i, (name(), coeff)),
         }
     }
 
     /// The coefficient of `var` (zero if absent).
     pub fn coeff(&self, var: &str) -> Rational {
-        self.coeffs.get(var).copied().unwrap_or_else(Rational::zero)
+        match self.position(var) {
+            Ok(i) => self.terms[i].1,
+            Err(_) => Rational::zero(),
+        }
     }
 
     /// The constant term.
@@ -87,39 +129,50 @@ impl Lin {
 
     /// Iterates over the non-zero `(variable, coefficient)` terms in variable order.
     pub fn terms(&self) -> impl Iterator<Item = (&str, Rational)> + '_ {
-        self.coeffs.iter().map(|(v, c)| (v.as_str(), *c))
+        self.terms.iter().map(|(v, c)| (&**v, *c))
     }
 
-    /// The set of variables occurring with non-zero coefficient.
+    /// The set of variables occurring with non-zero coefficient, in variable order.
     pub fn vars(&self) -> impl Iterator<Item = &str> + '_ {
-        self.coeffs.keys().map(|s| s.as_str())
+        self.terms.iter().map(|(v, _)| &**v)
+    }
+
+    /// [`Lin::terms`] with the shared names, for containers that keep them
+    /// without copying their bytes.
+    pub(crate) fn shared_terms(&self) -> impl Iterator<Item = (&Arc<str>, Rational)> + '_ {
+        self.terms.iter().map(|(v, c)| (v, *c))
     }
 
     /// Returns `true` if the expression is a constant (possibly zero).
     pub fn is_constant(&self) -> bool {
-        self.coeffs.is_empty()
+        self.terms.is_empty()
     }
 
     /// Pointwise sum of two expressions.
     pub fn add(&self, other: &Lin) -> Lin {
-        let mut out = self.clone();
-        out.constant += other.constant;
-        for (v, c) in other.coeffs.iter() {
-            out.add_term(v, *c);
+        Lin {
+            terms: merge(&self.terms, &[], &other.terms, |c| c),
+            constant: self.constant + other.constant,
         }
-        out
     }
 
     /// Pointwise difference of two expressions.
     pub fn sub(&self, other: &Lin) -> Lin {
-        self.add(&other.scale(-Rational::one()))
+        // `self + (-1)·other`, negating by multiplication as `scale` does, so that a
+        // saturating coefficient saturates (and is counted) exactly as it would there.
+        let minus_one = -Rational::one();
+        Lin {
+            terms: merge(&self.terms, &[], &other.terms, |c| c * minus_one),
+            constant: self.constant + other.constant * minus_one,
+        }
     }
 
     /// Adds a constant to the expression.
     pub fn add_const(&self, value: Rational) -> Lin {
-        let mut out = self.clone();
-        out.constant += value;
-        out
+        Lin {
+            terms: self.terms.clone(),
+            constant: self.constant + value,
+        }
     }
 
     /// Multiplies every coefficient and the constant by `factor`.
@@ -128,8 +181,8 @@ impl Lin {
             return Lin::zero();
         }
         Lin {
-            coeffs: self
-                .coeffs
+            terms: self
+                .terms
                 .iter()
                 .map(|(v, c)| (v.clone(), *c * factor))
                 .collect(),
@@ -139,52 +192,103 @@ impl Lin {
 
     /// Substitutes `var` by the expression `by`.
     pub fn substitute(&self, var: &str, by: &Lin) -> Lin {
-        match self.coeffs.get(var).copied() {
-            None => self.clone(),
-            Some(c) => {
-                let mut out = self.clone();
-                out.coeffs.remove(var);
-                out.add(&by.scale(c))
-            }
+        let Ok(i) = self.position(var) else {
+            return self.clone();
+        };
+        let c = self.terms[i].1;
+        Lin {
+            terms: merge(&self.terms[..i], &self.terms[i + 1..], &by.terms, |b| b * c),
+            constant: self.constant + by.constant * c,
         }
     }
 
     /// Renames a variable (no-op if absent).
     pub fn rename(&self, from: &str, to: &str) -> Lin {
-        self.substitute(from, &Lin::var(to))
+        // Substituting `1·to` for `from` adds the coefficient of `from` to that of `to`
+        // (`1·c` and `0·c` are exact), which is all this does.
+        let Ok(i) = self.position(from) else {
+            return self.clone();
+        };
+        let mut out = self.clone();
+        let (_, c) = out.terms.remove(i);
+        out.add_term(to, c);
+        out
     }
 
     /// Evaluates the expression under an assignment (missing variables default to zero).
     pub fn eval(&self, assignment: &BTreeMap<String, Rational>) -> Rational {
         let mut total = self.constant;
-        for (v, c) in self.coeffs.iter() {
+        for (v, c) in self.terms() {
             let value = assignment.get(v).copied().unwrap_or_else(Rational::zero);
-            total += *c * value;
+            total += c * value;
         }
         total
     }
 }
 
+/// Merges the sorted term runs `left` ++ `right` (every name of `left` before every
+/// name of `right`) with `map(c)` for each term of `other`, dropping zero results.
+/// A name in both sides gets `own + map(other)`, the order `add_term` sums in.
+fn merge(
+    left: &[Term],
+    right: &[Term],
+    other: &[Term],
+    map: impl Fn(Rational) -> Rational,
+) -> Vec<Term> {
+    let mut out = Vec::with_capacity(left.len() + right.len() + other.len());
+    let mut own = left.iter().chain(right).peekable();
+    let mut theirs = other.iter().peekable();
+    loop {
+        let order = match (own.peek(), theirs.peek()) {
+            (None, None) => break,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((a, _)), Some((b, _))) if Arc::ptr_eq(a, b) => Ordering::Equal,
+            (Some((a, _)), Some((b, _))) => a.cmp(b),
+        };
+        match order {
+            Ordering::Less => out.push(own.next().expect("peeked").clone()),
+            Ordering::Greater => {
+                let (name, c) = theirs.next().expect("peeked");
+                let c = map(*c);
+                if !c.is_zero() {
+                    out.push((name.clone(), c));
+                }
+            }
+            Ordering::Equal => {
+                let (name, a) = own.next().expect("peeked");
+                let (_, b) = theirs.next().expect("peeked");
+                let b = map(*b);
+                let sum = if b.is_zero() { *a } else { *a + b };
+                if !sum.is_zero() {
+                    out.push((name.clone(), sum));
+                }
+            }
+        }
+    }
+    out
+}
+
 impl fmt::Display for Lin {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (v, c) in self.coeffs.iter() {
+        for (v, c) in self.terms() {
             if first {
-                if *c == Rational::one() {
+                if c == Rational::one() {
                     write!(f, "{}", v)?;
-                } else if *c == -Rational::one() {
+                } else if c == -Rational::one() {
                     write!(f, "-{}", v)?;
                 } else {
                     write!(f, "{}*{}", c, v)?;
                 }
                 first = false;
             } else if c.is_negative() {
-                if *c == -Rational::one() {
+                if c == -Rational::one() {
                     write!(f, " - {}", v)?;
                 } else {
                     write!(f, " - {}*{}", c.abs(), v)?;
                 }
-            } else if *c == Rational::one() {
+            } else if c == Rational::one() {
                 write!(f, " + {}", v)?;
             } else {
                 write!(f, " + {}*{}", c, v)?;
@@ -269,7 +373,9 @@ impl fmt::Display for Ineq {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::MapLin;
     use super::*;
+    use crate::rational::overflow_work;
     use crate::testgen;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -407,6 +513,131 @@ mod tests {
             let mut env2 = env.clone();
             env2.insert("a".to_string(), b.eval(&env));
             assert_eq!(substituted, a.eval(&env2));
+        }
+    }
+
+    /// Names chosen to exercise byte order: prefixes, a `$`-separated template name,
+    /// a primed name and one with a non-ASCII byte.
+    const NAMES: [&str; 8] = ["a", "aa", "ab", "b", "r$x", "x", "x'", "\u{3bb}"];
+
+    fn coefficient(rng: &mut SmallRng) -> Rational {
+        let big = 1i128 << 100;
+        match rng.gen_range(0..10) {
+            0 => Rational::new(rng.gen_range(-7i128..8), rng.gen_range(1i128..6)),
+            1 => Rational::from(if rng.gen_bool(0.5) { big } else { -big }),
+            2 => Rational::new(rng.gen_range(-3i128..4), big + 1),
+            _ => Rational::from(rng.gen_range(-4i128..5)),
+        }
+    }
+
+    fn terms(rng: &mut SmallRng) -> Vec<(String, Rational)> {
+        (0..rng.gen_range(0..6))
+            .map(|_| {
+                let name = NAMES[rng.gen_range(0..NAMES.len())];
+                (name.to_string(), coefficient(rng))
+            })
+            .collect()
+    }
+
+    /// Runs `op` on both representations and checks they moved the saturation
+    /// counter by the same amount.
+    fn same_overflow<A, B>(what: &str, new: impl FnOnce() -> A, old: impl FnOnce() -> B) -> (A, B) {
+        let before = overflow_work();
+        let a = new();
+        let new_delta = overflow_work() - before;
+        let before = overflow_work();
+        let b = old();
+        assert_eq!(
+            new_delta,
+            overflow_work() - before,
+            "overflow count of {what}"
+        );
+        (a, b)
+    }
+
+    fn check_agrees(lin: &Lin, map: &MapLin, env: &BTreeMap<String, Rational>) {
+        let names: Vec<&str> = lin.vars().collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "unsorted: {lin:?}");
+        assert!(lin.terms().all(|(_, c)| !c.is_zero()), "zero term: {lin:?}");
+        assert!(lin.terms().eq(map.terms()), "{lin:?} vs {map:?}");
+        assert_eq!(lin.constant_term(), map.constant_term());
+        for name in NAMES.iter().chain(&["", "zz"]) {
+            assert_eq!(lin.coeff(name), map.coeff(name), "coeff {name}");
+        }
+        let (value, reference) = same_overflow("eval", || lin.eval(env), || map.eval(env));
+        assert_eq!(value, reference);
+        let (text, reference) = same_overflow("display", || lin.to_string(), || map.to_string());
+        assert_eq!(text, reference);
+    }
+
+    /// The vector representation against the `BTreeMap` one it replaced: seeded
+    /// sequences of every constructive operation, including coefficients near
+    /// 2^100 that saturate, must give the same terms, values, rendering, equality
+    /// and saturation counts.
+    #[test]
+    fn differential_against_map_reference() {
+        let mut rng = SmallRng::seed_from_u64(0x11AE04);
+        for _ in 0..64 {
+            let mut pool: Vec<(Lin, MapLin)> = vec![(Lin::zero(), MapLin::default())];
+            for _ in 0..40 {
+                let i = rng.gen_range(0..pool.len());
+                let j = rng.gen_range(0..pool.len());
+                let name = NAMES[rng.gen_range(0..NAMES.len())];
+                let other = NAMES[rng.gen_range(0..NAMES.len())];
+                let ((a, am), (b, bm)) = (pool[i].clone(), pool[j].clone());
+                let next = match rng.gen_range(0..8) {
+                    0 => {
+                        let c = coefficient(&mut rng);
+                        let (mut lin, mut map) = (a, am);
+                        same_overflow(
+                            "add_term",
+                            || lin.add_term(name, c),
+                            || map.add_term(name, c),
+                        );
+                        (lin, map)
+                    }
+                    1 => same_overflow("add", || a.add(&b), || am.add(&bm)),
+                    2 => same_overflow("sub", || a.sub(&b), || am.sub(&bm)),
+                    3 => {
+                        let k = coefficient(&mut rng);
+                        let k = if rng.gen_bool(0.1) {
+                            Rational::zero()
+                        } else {
+                            k
+                        };
+                        same_overflow("scale", || a.scale(k), || am.scale(k))
+                    }
+                    4 => same_overflow(
+                        "substitute",
+                        || a.substitute(name, &b),
+                        || am.substitute(name, &bm),
+                    ),
+                    5 => same_overflow(
+                        "rename",
+                        || a.rename(name, other),
+                        || am.rename(name, other),
+                    ),
+                    6 => {
+                        let terms = terms(&mut rng);
+                        let k = coefficient(&mut rng);
+                        same_overflow(
+                            "from_terms",
+                            || Lin::from_terms(terms.clone(), k),
+                            || MapLin::from_terms(terms.clone(), k),
+                        )
+                    }
+                    _ => (Lin::var(name), MapLin::var(name)),
+                };
+                let env: BTreeMap<String, Rational> = NAMES
+                    .iter()
+                    .map(|v| (v.to_string(), coefficient(&mut rng)))
+                    .collect();
+                check_agrees(&next.0, &next.1, &env);
+                for (lin, map) in &pool {
+                    assert_eq!(*lin == next.0, *map == next.1, "{lin:?} == {:?}", next.0);
+                }
+                pool.push(next);
+            }
         }
     }
 }

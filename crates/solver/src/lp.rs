@@ -8,6 +8,7 @@ use crate::linear::Lin;
 use crate::rational::Rational;
 use crate::simplex::{self, RowOp, SimplexOutcome, SparseRow, StandardForm};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Sign restriction of an LP variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,7 +91,9 @@ impl LpSolution {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LpProblem {
-    vars: BTreeMap<String, VarKind>,
+    /// Declared variables by name; names taken from constraints share the
+    /// expressions' `Arc`s.
+    vars: BTreeMap<Arc<str>, VarKind>,
     constraints: Vec<(Lin, Cmp, Lin)>,
     objective: Option<(Lin, Direction)>,
 }
@@ -106,12 +109,38 @@ impl LpProblem {
     /// Re-declaring a variable as [`VarKind::Free`] widens it; re-declaring a free
     /// variable as non-negative is ignored (the wider declaration wins), so callers
     /// can declare defensively.
-    pub fn declare(&mut self, name: impl Into<String>, kind: VarKind) {
-        let name = name.into();
-        match self.vars.get(&name) {
+    pub fn declare(&mut self, name: impl AsRef<str>, kind: VarKind) {
+        let name = name.as_ref();
+        self.declare_with(name, kind, || Arc::from(name));
+    }
+
+    /// Declares every variable of `expr` as by [`LpProblem::declare`].
+    pub fn declare_vars(&mut self, expr: &Lin, kind: VarKind) {
+        for (name, _) in expr.shared_terms() {
+            self.declare_shared(name, kind);
+        }
+    }
+
+    /// [`LpProblem::declare`] with a shared name, which a new variable keeps.
+    pub(crate) fn declare_shared(&mut self, name: &Arc<str>, kind: VarKind) {
+        self.declare_with(name, kind, || name.clone());
+    }
+
+    fn declare_with(&mut self, name: &str, kind: VarKind, shared: impl FnOnce() -> Arc<str>) {
+        match self.vars.get_mut(name) {
             Some(VarKind::Free) => {}
-            _ => {
-                self.vars.insert(name, kind);
+            Some(existing) => *existing = kind,
+            None => {
+                self.vars.insert(shared(), kind);
+            }
+        }
+    }
+
+    /// Declares the variables of `expr` that are not declared yet as non-negative.
+    fn declare_implicit(&mut self, expr: &Lin) {
+        for (name, _) in expr.shared_terms() {
+            if !self.vars.contains_key(&**name) {
+                self.vars.insert(name.clone(), VarKind::NonNegative);
             }
         }
     }
@@ -119,11 +148,8 @@ impl LpProblem {
     /// Adds the constraint `lhs op rhs`. Any undeclared variable mentioned is
     /// implicitly declared non-negative.
     pub fn constrain(&mut self, lhs: Lin, op: Cmp, rhs: Lin) {
-        for v in lhs.vars().chain(rhs.vars()) {
-            if !self.vars.contains_key(v) {
-                self.vars.insert(v.to_string(), VarKind::NonNegative);
-            }
-        }
+        self.declare_implicit(&lhs);
+        self.declare_implicit(&rhs);
         self.constraints.push((lhs, op, rhs));
     }
 
@@ -134,11 +160,7 @@ impl LpProblem {
 
     /// Sets the objective function and direction (replacing any previous objective).
     pub fn set_objective(&mut self, expr: Lin, direction: Direction) {
-        for v in expr.vars() {
-            if !self.vars.contains_key(v) {
-                self.vars.insert(v.to_string(), VarKind::NonNegative);
-            }
-        }
+        self.declare_implicit(&expr);
         self.objective = Some((expr, direction));
     }
 
@@ -160,28 +182,36 @@ impl LpProblem {
             Single(usize),
             Split(usize, usize), // value = pos - neg
         }
-        let mut slots: BTreeMap<&str, Slot> = BTreeMap::new();
+        // `vars` iterates in name order, so `slots` is sorted by name too.
+        let mut slots: Vec<(&str, Slot)> = Vec::with_capacity(self.vars.len());
         let mut next = 0usize;
         for (name, kind) in &self.vars {
             match kind {
                 VarKind::NonNegative => {
-                    slots.insert(name, Slot::Single(next));
+                    slots.push((name, Slot::Single(next)));
                     next += 1;
                 }
                 VarKind::Free => {
-                    slots.insert(name, Slot::Split(next, next + 1));
+                    slots.push((name, Slot::Split(next, next + 1)));
                     next += 2;
                 }
             }
         }
         let num_cols = next;
+        let slot = |name: &str| -> Slot {
+            let i = slots
+                .binary_search_by(|(v, _)| (*v).cmp(name))
+                .expect("every constrained variable is declared");
+            slots[i].1
+        };
 
-        // Each variable owns its own column(s) and both maps iterate in name
-        // order, so the lowered nonzeros come out sorted by column.
+        // Each variable owns its own column(s), and columns are handed out in
+        // name order, the order `Lin::terms` yields: the lowered nonzeros come
+        // out sorted by column, as the simplex requires.
         let lower = |lin: &Lin| -> SparseRow {
             let mut row = Vec::new();
             for (v, c) in lin.terms() {
-                match slots[v] {
+                match slot(v) {
                     Slot::Single(i) => row.push((i, c)),
                     Slot::Split(p, n) => {
                         row.push((p, c));
@@ -196,7 +226,12 @@ impl LpProblem {
             .constraints
             .iter()
             .map(|(lhs, op, rhs)| {
-                let diff = lhs.sub(rhs);
+                // `lhs - 0` is `lhs` exactly; skip building the copy.
+                let diff = if rhs.is_constant() && rhs.constant_term().is_zero() {
+                    std::borrow::Cow::Borrowed(lhs)
+                } else {
+                    std::borrow::Cow::Owned(lhs.sub(rhs))
+                };
                 // lhs op rhs  ⇔  diff op 0  ⇔  Σ coeffs · x  op  -constant
                 let row_op = match op {
                     Cmp::Le => RowOp::Le,
@@ -229,14 +264,14 @@ impl LpProblem {
 
         let outcome = simplex::solve(&program);
         let to_values = |solution: &[Rational]| -> BTreeMap<String, Rational> {
-            self.vars
-                .keys()
-                .map(|name| {
-                    let value = match slots[name.as_str()] {
+            slots
+                .iter()
+                .map(|&(name, slot)| {
+                    let value = match slot {
                         Slot::Single(i) => solution[i],
                         Slot::Split(p, n) => solution[p] - solution[n],
                     };
-                    (name.clone(), value)
+                    (name.to_string(), value)
                 })
                 .collect()
         };

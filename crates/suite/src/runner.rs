@@ -259,9 +259,9 @@ pub fn run_suite_session_with(
     }
 }
 
-/// Scores one batch entry against its ground truth.
-fn score_entry(name: &str, expected: Expected, entry: BatchEntry) -> ProgramReport {
-    let outcome = match &entry.result {
+/// The scored outcome of one batch entry.
+fn entry_outcome(entry: &BatchEntry) -> Outcome {
+    match &entry.result {
         Err(_) => Outcome::Unknown,
         Ok(result) => match result.program_verdict() {
             Verdict::Terminating => Outcome::Yes,
@@ -269,11 +269,15 @@ fn score_entry(name: &str, expected: Expected, entry: BatchEntry) -> ProgramRepo
             Verdict::Unknown if result.stats.budget_exhausted => Outcome::Timeout,
             Verdict::Unknown => Outcome::Unknown,
         },
-    };
+    }
+}
+
+/// Scores one batch entry against its ground truth.
+fn score_entry(name: &str, expected: Expected, entry: BatchEntry) -> ProgramReport {
     ProgramReport {
         name: name.to_string(),
         expected,
-        outcome,
+        outcome: entry_outcome(&entry),
         elapsed: entry.elapsed,
         work: entry.work,
         note: entry.panic_note,
@@ -367,6 +371,49 @@ pub fn rendered_summaries_session(
         }
     }
     out
+}
+
+/// Every program of a suite as its record in the corpus golden file, in corpus
+/// order: `(key, record)` with the key `suite/program`. A record is one header
+/// line (`key outcome work=… validated=… poisoned=…`) followed by each summary
+/// label indented two spaces and its rendering indented four, so records are
+/// split at the lines that do not start with a space. A program the front end or
+/// verifier rejects records `error: <message>` instead of the summaries.
+///
+/// The conformance gate compares these records with `tests/golden/corpus.txt`;
+/// the `corpus_golden` example prints them for all five corpora.
+pub fn golden_records(session: &AnalysisSession, suite: &Suite) -> Vec<(String, String)> {
+    use std::fmt::Write;
+    let sources: Vec<&str> = suite.programs.iter().map(|p| p.source.as_str()).collect();
+    let entries = session.analyze_batch(&sources);
+    suite
+        .programs
+        .iter()
+        .zip(entries)
+        .map(|(program, entry)| {
+            let key = format!("{}/{}", suite.category.name(), program.name);
+            let mut record = format!("{key} {} work={}", entry_outcome(&entry), entry.work);
+            match &entry.result {
+                Ok(result) => {
+                    let _ = writeln!(
+                        record,
+                        " validated={} poisoned={}",
+                        result.validated, result.poisoned
+                    );
+                    for (label, summary) in &result.summaries {
+                        let _ = writeln!(record, "  {label}");
+                        for line in summary.render().lines() {
+                            let _ = writeln!(record, "    {line}");
+                        }
+                    }
+                }
+                Err(error) => {
+                    let _ = writeln!(record, "\n  error: {}", error.message);
+                }
+            }
+            (key, record)
+        })
+        .collect()
 }
 
 fn default_workers() -> usize {

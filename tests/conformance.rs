@@ -12,6 +12,17 @@
 //!   was built, locking in the Fig. 10/11 competitiveness. Precision may go
 //!   up; a PR that trades it away fails here.
 //!
+//! Each suite is also pinned record by record to the committed golden file
+//! `tests/golden/corpus.txt`: every program's outcome, `work`, `validated` and
+//! `poisoned` flags and rendered summaries must match it byte for byte, so a
+//! change that claims to keep behaviour is checked against the whole corpus.
+//! A change that moves any of them on purpose regenerates the file and shows
+//! the diff:
+//!
+//! ```sh
+//! cargo run --release --example corpus_golden > tests/golden/corpus.txt
+//! ```
+//!
 //! A determinism check runs the generated `crafted` corpus twice (same
 //! `SmallRng` seed) end to end and compares the rendered summaries byte for
 //! byte — the regression tripwire for future parallelism/caching work.
@@ -19,7 +30,34 @@
 use hiptnt::infer::AnalysisSession;
 use hiptnt::suite::{crafted, crafted_lit, integer_loops, memory_alloca, numeric, runner, Suite};
 use hiptnt::InferOptions;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
+
+/// The committed golden records (see the module docs), keyed `suite/program`.
+fn golden() -> &'static BTreeMap<&'static str, String> {
+    static GOLDEN: OnceLock<BTreeMap<&'static str, String>> = OnceLock::new();
+    GOLDEN.get_or_init(|| {
+        let text = include_str!("golden/corpus.txt");
+        let mut records: BTreeMap<&'static str, String> = BTreeMap::new();
+        let mut current = None;
+        for line in text.lines() {
+            if !line.starts_with(' ') {
+                let key = line.split(' ').next().expect("record header");
+                assert!(
+                    records.insert(key, String::new()).is_none(),
+                    "golden file repeats {key}"
+                );
+                current = Some(key);
+            }
+            let record = records
+                .get_mut(current.expect("golden file starts with a record header"))
+                .expect("header inserted");
+            record.push_str(line);
+            record.push('\n');
+        }
+        records
+    })
+}
 
 /// One batch session — one cross-program summary cache — shared by every suite
 /// gate in this binary: the five corpora are template-generated and overlap
@@ -65,6 +103,35 @@ fn conforms(suite: Suite, precision_floor: f64) {
         report.precision(),
         precision_floor,
         report.render_row()
+    );
+
+    matches_golden(&suite);
+}
+
+/// Compares every program of `suite` with its golden record, naming the first
+/// program that differs. The session has analysed the suite already, so these
+/// are cache hits, which report the cold pass's results unchanged.
+fn matches_golden(suite: &Suite) {
+    let records = runner::golden_records(session(), suite);
+    let prefix = format!("{}/", suite.category.name());
+    let golden_len = golden().keys().filter(|k| k.starts_with(&prefix)).count();
+    for (key, record) in &records {
+        let expected = golden().get(key.as_str());
+        assert!(
+            expected == Some(record),
+            "{key} differs from tests/golden/corpus.txt \
+             (regenerate with `cargo run --release --example corpus_golden \
+             > tests/golden/corpus.txt` if the change is intended)\n\
+             --- golden\n{}--- now\n{record}",
+            expected.map_or("(no record)\n", String::as_str)
+        );
+    }
+    assert_eq!(
+        golden_len,
+        records.len(),
+        "{}: the golden file holds {golden_len} records, the suite {} programs",
+        suite.category.name(),
+        records.len()
     );
 }
 
